@@ -6,7 +6,7 @@ from numbers import Real
 
 from .element import Element
 from .parsing import parse
-from .words import DIFF_BASE, Word, invert_word, letter_index, reduce_word
+from .words import DIFF_BASE, Word, invert_word, letter_index
 
 
 class NonInvertibleReplacement(ValueError):
@@ -52,11 +52,12 @@ def derivative(element: Element, letter: str | int) -> Element:
     out: dict[Word, float] = {}
     for word, coeff in element.terms():
         for i, sym in enumerate(word):
+            # still reduced: neither replacement puts a letter next to its inverse
             if sym == target:
-                new = reduce_word(word[:i] + (token,) + word[i + 1:])
+                new = word[:i] + (token,) + word[i + 1:]
                 delta = coeff
             elif sym == -target:
-                new = reduce_word(word[:i] + (-target, token, -target) + word[i + 1:])
+                new = word[:i] + (-target, token, -target) + word[i + 1:]
                 delta = -coeff
             else:
                 continue

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import NamedTuple
@@ -100,7 +101,10 @@ def _tokenize(text: str, offset: int = 0) -> list[_Token]:
             if digits == 0:
                 raise ParseError(offset + start, "number has no digits", BAD_NUMBER)
             raw = text[start:i]
-            tokens.append(_Token("num", raw, float(raw), offset + start, offset + i))
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ParseError(offset + start, "number is too large for a float", BAD_NUMBER)
+            tokens.append(_Token("num", raw, value, offset + start, offset + i))
             continue
         if ch.isascii() and (ch.isalpha() or ch == "_"):
             start = i

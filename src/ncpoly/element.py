@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from numbers import Real
 
-from .words import Word, base_letter, reduce_word, word_from_text, word_sort_key
+from .words import Word, base_letter, join_reduced, reduce_word, word_from_text, word_sort_key
 
 
 class Element:
@@ -103,6 +103,9 @@ class Element:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals the plain number, so it must hash like one
+        if self._terms.keys() <= {()}:
+            return hash(self.constant_term)
         return hash(frozenset(self._terms.items()))
 
     # ------------------------------------------------------------------
@@ -144,10 +147,12 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             data: dict[Word, float] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    # concatenation may cancel across the seam
-                    word = reduce_word(w1 + w2)
+            # visit terms in word order, so colliding contributions are
+            # summed in an order fixed by the values, not by dict history
+            right = sorted(other._terms.items())
+            for w1, c1 in sorted(self._terms.items()):
+                for w2, c2 in right:
+                    word = join_reduced(w1, w2)
                     data[word] = data.get(word, 0.0) + c1 * c2
             return Element._from_reduced({w: c for w, c in data.items() if c != 0.0})
         if isinstance(other, Real) and not isinstance(other, bool):

@@ -17,16 +17,16 @@ coefficient and its letters.  There is no power or parenthesis syntax.
 
 from __future__ import annotations
 
+import math
+
 from .element import Element
+from .words import word_from_text
 
 UNEXPECTED_CHAR = "UnexpectedChar"
 BAD_NUMBER = "BadNumber"
 EMPTY_TERM = "EmptyTerm"
 TRAILING_INPUT = "TrailingInput"
 
-_ALLOWED = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.*+- "
-)
 _DIGITS = frozenset("0123456789")
 
 
@@ -56,7 +56,7 @@ def parse(text: str) -> Element:
 
 
 def _is_ascii_letter(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z")
+    return ch.isascii() and ch.isalpha()
 
 
 class _Parser:
@@ -93,7 +93,7 @@ class _Parser:
                 sign = 1.0
             elif ch == "-":
                 sign = -1.0
-            elif ch in _ALLOWED:
+            elif ch.isascii() and (ch.isalnum() or ch in ".*"):
                 self.fail(self.pos, f"unexpected {ch!r} after a complete term", TRAILING_INPUT)
             else:
                 self.fail(self.pos, f"character {ch!r} is not element syntax", UNEXPECTED_CHAR)
@@ -142,17 +142,13 @@ class _Parser:
             self.pos += 1
         if digits == 0:
             self.fail(start, "number has no digits", BAD_NUMBER)
-        return float(self.text[start:self.pos])
+        value = float(self.text[start:self.pos])
+        if not math.isfinite(value):
+            self.fail(start, "number is too large for a float", BAD_NUMBER)
+        return value
 
     def letters(self) -> tuple[int, ...]:
-        syms = []
-        while True:
-            ch = self.peek()
-            if "a" <= ch <= "z":
-                syms.append(ord(ch) - 96)
-            elif "A" <= ch <= "Z":
-                syms.append(64 - ord(ch))
-            else:
-                break
+        start = self.pos
+        while _is_ascii_letter(self.peek()):
             self.pos += 1
-        return tuple(syms)
+        return word_from_text(self.text[start:self.pos])

@@ -10,10 +10,11 @@ immediately after its own letter.
 from __future__ import annotations
 
 import json
+import math
 
 from .element import Element
 from .parsing import BAD_NUMBER, UNEXPECTED_CHAR, ParseError
-from .words import DIFF_BASE, is_differential, word_text
+from .words import DIFF_BASE, differential, is_differential, symbol_text, word_text
 
 
 def format_coefficient(value: float) -> str:
@@ -58,7 +59,7 @@ def to_json(element: Element) -> str:
         }
         for word, coeff in element.terms()
     ]
-    return json.dumps({"terms": terms}, separators=(",", ":"))
+    return json.dumps({"terms": terms}, separators=(",", ":"), allow_nan=False)
 
 
 def from_json(text: str) -> Element:
@@ -83,13 +84,19 @@ def from_json(text: str) -> Element:
         coeff = entry["coeff"]
         if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
             raise ParseError(0, f'"coeff" must be a number, got {coeff!r}', BAD_NUMBER)
-        pairs.append((word, float(coeff)))
+        try:
+            value = float(coeff)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ParseError(0, '"coeff" must be a finite float', BAD_NUMBER)
+        pairs.append((word, value))
     return Element(pairs)
 
 
 def _symbol_to_json(sym: int):
     if is_differential(sym):
-        return "d" + chr(96 + sym - DIFF_BASE)
+        return "d" + symbol_text(sym - DIFF_BASE)
     return sym
 
 
@@ -100,6 +107,9 @@ def _symbol_from_json(value) -> int:
         if value == 0 or abs(value) > 26:
             raise ParseError(0, f"symbol integer out of range: {value}", BAD_NUMBER)
         return value
-    if isinstance(value, str) and len(value) == 2 and value[0] == "d" and "a" <= value[1] <= "z":
-        return DIFF_BASE + ord(value[1]) - 96
+    if isinstance(value, str) and value[:1] == "d":
+        try:
+            return differential(value[1:])
+        except ValueError:
+            pass
     raise ParseError(0, f"invalid symbol entry: {value!r}", BAD_NUMBER)

@@ -21,6 +21,21 @@ def brute_reduce(symbols):
     return tuple(seq)
 
 
+def naive_collation_key(word):
+    """Word sort key from the printed ASCII of each symbol: uppercase
+    inverses before lowercase letters, a differential token right after
+    its own letter, a prefix before its extensions."""
+    key = []
+    for sym in word:
+        if sym > 100:
+            key.append((ord("abcdefghijklmnopqrstuvwxyz"[sym - 101]), 1))
+        elif sym > 0:
+            key.append((ord("abcdefghijklmnopqrstuvwxyz"[sym - 1]), 0))
+        else:
+            key.append((ord("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[-sym - 1]), 0))
+    return key
+
+
 def mat_identity(n):
     return [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
 

@@ -176,6 +176,15 @@ def test_derivative_output_is_normalized(a):
     assert_normalized(derivative(a, "b"))
 
 
+long_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=10).map(tuple)
+
+
+@given(st.lists(st.tuples(long_words, coeffs), max_size=4).map(Element))
+def test_derivative_words_stay_reduced_on_long_words(a):
+    for target in "abc":
+        assert_normalized(derivative(a, target))
+
+
 # ----------------------------------------------------------------------
 # numerical cross-check of the derivative
 

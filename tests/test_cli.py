@@ -68,6 +68,8 @@ def test_expression_errors():
         evaluate_expression("x ?")
     with pytest.raises(ParseError):
         evaluate_expression("deriv(x, xy)")
+    with pytest.raises(ParseError):
+        evaluate_expression("2 * " + "1" * 400 + "x")
     with pytest.raises(UnknownName):
         evaluate_expression("foo2")
 
@@ -177,7 +179,7 @@ def test_matcheck_unbound_letter_exits_3():
 
 
 def test_parse_errors_exit_2():
-    for text in ("2**x", "x?y", "1.2.3", "2x +", "2x 3"):
+    for text in ("2**x", "x?y", "1.2.3", "2x +", "2x 3", "1" * 400 + "x"):
         result = run_cli("eval", text)
         assert result.returncode == EXIT_PARSE_ERROR, text
         assert "position" in result.stderr

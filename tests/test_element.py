@@ -122,6 +122,9 @@ def test_hash_consistent_with_equality(paper):
     a, _, _ = paper
     assert hash(a) == hash(parse("2zy + xxyx"))
     assert len({a, parse("xxyx + 2zy"), parse("xxyx")}) == 2
+    assert hash(Element.constant(3)) == hash(3)
+    assert hash(Element.constant(2.5)) == hash(2.5)
+    assert hash(Element.zero()) == hash(0)
 
 
 def test_operations_do_not_mutate_inputs(paper):
@@ -156,3 +159,19 @@ def test_multiplicative_identity(a):
 def test_results_are_normalized(a, b):
     for value in (a, b, a + b, a - b, a * b, -a, a ** 2):
         assert_normalized(value)
+
+
+tenths = st.integers(-9, 9).filter(bool).map(lambda n: n / 10)
+tenths_elements = st.lists(st.tuples(raw_words, tenths), max_size=6).map(Element)
+
+
+@given(tenths_elements, tenths_elements, st.randoms(use_true_random=False))
+def test_equal_inputs_give_equal_products(a, c, rng):
+    # same terms, other storage order: every result must match bit for bit
+    terms = a.terms()
+    rng.shuffle(terms)
+    b = Element(terms)
+    assert a == b
+    assert a * c == b * c
+    assert c * a == c * b
+    assert a**3 == b**3

@@ -83,6 +83,8 @@ ERROR_CASES = [
     ("2x 3", 3, TRAILING_INPUT),
     ("x*y", 1, TRAILING_INPUT),
     ("1e5", 2, TRAILING_INPUT),
+    pytest.param("1" * 400 + "x", 0, BAD_NUMBER, id="overflowing-coefficient"),
+    pytest.param("x - " + "9" * 400, 4, BAD_NUMBER, id="overflowing-last-term"),
 ]
 
 

@@ -97,6 +97,11 @@ BAD_JSON = [
     ('{"terms": [{"word": ["xx"], "coeff": 1}]}', BAD_NUMBER),
     ('{"terms": [{"word": [1], "coeff": "3"}]}', BAD_NUMBER),
     ('{"terms": [{"word": [1], "coeff": true}]}', BAD_NUMBER),
+    ('{"terms": [{"word": [1], "coeff": 1e999}]}', BAD_NUMBER),
+    ('{"terms": [{"word": [1], "coeff": NaN}]}', BAD_NUMBER),
+    ('{"terms": [{"word": [1], "coeff": Infinity}]}', BAD_NUMBER),
+    ('{"terms": [{"word": [1], "coeff": -Infinity}]}', BAD_NUMBER),
+    pytest.param('{"terms": [{"word": [1], "coeff": 1' + "0" * 400 + "}]}", BAD_NUMBER, id="int-overflowing-float"),
 ]
 
 
@@ -105,6 +110,12 @@ def test_from_json_rejects(text, kind):
     with pytest.raises(ParseError) as excinfo:
         from_json(text)
     assert excinfo.value.kind == kind
+
+
+def test_to_json_rejects_non_finite_coefficients():
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            to_json(Element({(1,): value}))
 
 
 @given(st.lists(st.tuples(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4).map(tuple), coeffs), max_size=4).map(Element))

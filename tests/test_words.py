@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncpoly.words import (
@@ -8,6 +8,7 @@ from ncpoly.words import (
     differential,
     inverse,
     invert_word,
+    join_reduced,
     letter,
     reduce_word,
     symbol_sort_key,
@@ -17,7 +18,7 @@ from ncpoly.words import (
     word_text,
 )
 
-from oracles import brute_reduce
+from oracles import brute_reduce, naive_collation_key
 
 x, X = letter("x"), inverse("x")
 y, Y = letter("y"), inverse("y")
@@ -132,3 +133,19 @@ def test_collation_prefix_sorts_before_extension():
     words = [(x, x), (), (x,), (x, y), (X,)]
     ordered = sorted(words, key=word_sort_key)
     assert ordered == [(), (X,), (x,), (x, x), (x, y)]
+
+
+any_symbols = st.one_of(st.integers(1, 26), st.integers(-26, -1), st.integers(101, 126))
+
+
+@given(st.lists(st.lists(any_symbols, max_size=4).map(tuple), max_size=12))
+def test_word_sort_key_matches_printed_ascii_oracle(words):
+    assert sorted(words, key=word_sort_key) == sorted(words, key=naive_collation_key)
+
+
+@given(raw_sequences, raw_sequences)
+@example((x, y, z), (-z, Y, x))
+@example((x, y), (Y, X))
+def test_seam_join_matches_bruteforce_oracle(left, right):
+    w1, w2 = reduce_word(left), reduce_word(right)
+    assert join_reduced(w1, w2) == brute_reduce(w1 + w2)
