@@ -11,7 +11,7 @@ evaluation on square-matrix assignments.
 __version__ = "0.1.0"
 
 from .calculus import NonInvertibleReplacement, derivative, substitute
-from .element import Element, commutator
+from .element import Element, NonFiniteCoefficient, commutator
 from .matrixeval import (
     HomomorphismReport,
     Matrix,
@@ -41,6 +41,7 @@ __all__ = [
     "HomomorphismReport",
     "Matrix",
     "MatrixAssignment",
+    "NonFiniteCoefficient",
     "NonInvertibleReplacement",
     "ParseError",
     "RandSpec",

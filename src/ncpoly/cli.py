@@ -3,26 +3,25 @@
 The session grammar extends the flat element syntax with parentheses,
 ``*`` products, integer ``^`` powers, ``[a, b]`` commutator brackets,
 ``deriv(expr, letter)`` and ``subs(expr, letter=expr, ...)`` calls, and
-named bindings (``NAME = expr``).  Batch subcommands stick to the flat
-element syntax so their output matches the library printer exactly.
+named bindings (``NAME = expr``).  It reads the tokens of
+``parsing.tokenize``, like the flat syntax.  Batch subcommands stick to
+the flat element syntax so their output matches the library printer
+exactly.
 
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 evaluation
 error (unbound generator, singular matrix, non-invertible replacement,
-degenerate random spec), 4 usage error.
+degenerate random spec, non-finite coefficient), 4 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import re
 import sys
-from typing import NamedTuple
 
 from . import __version__
 from .calculus import NonInvertibleReplacement, derivative, substitute
-from .element import Element
+from .element import Element, NonFiniteCoefficient
 from .matrixeval import (
     Matrix,
     MatrixAssignment,
@@ -37,10 +36,13 @@ from .parsing import (
     TRAILING_INPUT,
     UNEXPECTED_CHAR,
     ParseError,
+    Token,
     parse,
+    tokenize,
 )
 from .randomgen import DegenerateSpec, RandSpec, random_element
 from .textio import canonical_print, to_json
+from .words import letter_index
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,8 +51,6 @@ EXIT_EVAL_ERROR = 3
 EXIT_USAGE_ERROR = 4
 
 RESERVED_FUNCTIONS = ("deriv", "subs")
-
-_ASSIGN_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
 
 
 class SessionError(ValueError):
@@ -63,62 +63,6 @@ class UnknownName(SessionError):
 
 # ----------------------------------------------------------------------
 # session expression language
-
-
-class _Token(NamedTuple):
-    kind: str  # "num", "name", "op", "end"
-    text: str
-    value: float | None
-    start: int
-    end: int
-
-
-def _tokenize(text: str, offset: int = 0) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == " ":
-            i += 1
-            continue
-        if ch in "+-*^()[],=":
-            tokens.append(_Token("op", ch, None, offset + i, offset + i + 1))
-            i += 1
-            continue
-        if ch in "0123456789.":
-            start = i
-            digits = 0
-            dot = -1
-            while i < n and text[i] in "0123456789.":
-                if text[i] == ".":
-                    if dot >= 0:
-                        raise ParseError(offset + i, "number has a second decimal point", BAD_NUMBER)
-                    dot = i
-                else:
-                    digits += 1
-                i += 1
-            if digits == 0:
-                raise ParseError(offset + start, "number has no digits", BAD_NUMBER)
-            raw = text[start:i]
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ParseError(offset + start, "number is too large for a float", BAD_NUMBER)
-            tokens.append(_Token("num", raw, value, offset + start, offset + i))
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            start = i
-            while i < n and text[i].isascii() and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", text[start:i], None, offset + start, offset + i))
-            continue
-        raise ParseError(offset + i, f"character {ch!r} is not expression syntax", UNEXPECTED_CHAR)
-    tokens.append(_Token("end", "", None, offset + n, offset + n))
-    return tokens
-
-
-def _is_word_name(name: str) -> bool:
-    return name.isascii() and name.isalpha()
 
 
 class _ExpressionParser:
@@ -136,15 +80,15 @@ class _ExpressionParser:
                     | "[" expression "," expression "]"
     """
 
-    def __init__(self, tokens: list[_Token], session: dict):
+    def __init__(self, tokens: list[Token], session: dict):
         self.tokens = tokens
         self.session = session
         self.index = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
+    def advance(self) -> Token:
         token = self.tokens[self.index]
         self.index += 1
         return token
@@ -160,6 +104,10 @@ class _ExpressionParser:
             raise ParseError(token.start, f"expected {op!r}", kind)
 
     def parse(self) -> Element:
+        # the whole line is scanned first: its leftmost bad token wins over grammar errors
+        for token in self.tokens:
+            if token.kind == "bad":
+                raise token.value
         value = self.expression()
         token = self.peek()
         if token.kind != "end":
@@ -228,13 +176,14 @@ class _ExpressionParser:
             raise ParseError(token.start, "expected an expression", EMPTY_TERM)
         raise ParseError(token.start, f"unexpected {token.text!r}", UNEXPECTED_CHAR)
 
-    def resolve(self, token: _Token) -> Element:
+    def resolve(self, token: Token) -> Element:
         name = token.text
         if name in self.session:
             return self.session[name]
-        if _is_word_name(name):
+        try:
             return Element.from_word(name)
-        raise UnknownName(f"'{name}' is not bound and is not a generator word")
+        except ValueError:
+            raise UnknownName(f"'{name}' is not bound and is not a generator word") from None
 
     def call(self, function: str) -> Element:
         self.expect_op("(")
@@ -253,18 +202,18 @@ class _ExpressionParser:
         self.expect_op(")")
         return substitute(argument, pairs)
 
-    def letter_argument(self) -> str:
+    def letter_argument(self) -> int:
         token = self.advance()
-        if token.kind != "name" or len(token.text) != 1 or not token.text.islower():
+        try:
+            return letter_index(token.text)
+        except ValueError:
             kind = EMPTY_TERM if token.kind == "end" else UNEXPECTED_CHAR
-            raise ParseError(token.start, "expected a single generator letter", kind)
-        return token.text
+            raise ParseError(token.start, "expected a single generator letter", kind) from None
 
 
-def evaluate_expression(text: str, session: dict | None = None, offset: int = 0) -> Element:
+def evaluate_expression(text: str, session: dict | None = None) -> Element:
     """Evaluate session expression syntax against the given bindings."""
-    tokens = _tokenize(text, offset)
-    return _ExpressionParser(tokens, session if session is not None else {}).parse()
+    return _ExpressionParser(list(tokenize(text)), session if session is not None else {}).parse()
 
 
 def run_command(line: str, session: dict) -> str | None:
@@ -277,16 +226,16 @@ def run_command(line: str, session: dict) -> str | None:
     """
     if not line.strip():
         return None
-    match = _ASSIGN_RE.match(line)
-    if match:
-        name = match.group(1)
+    tokens = list(tokenize(line))
+    if tokens[0].kind == "name" and tokens[1].text == "=":
+        name = tokens[0].text
         if len(name) == 1 and not name.isupper():
             raise SessionError(f"'{name}' cannot be bound: single lowercase letters are generators")
         if name in RESERVED_FUNCTIONS:
             raise SessionError(f"'{name}' is a built-in function and cannot be bound")
-        session[name] = evaluate_expression(match.group(2), session, offset=match.start(2))
+        session[name] = _ExpressionParser(tokens[2:], session).parse()
         return None
-    return canonical_print(evaluate_expression(line, session))
+    return canonical_print(_ExpressionParser(tokens, session).parse())
 
 
 def run_repl(stdin=None, stdout=None) -> int:
@@ -326,17 +275,15 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE_ERROR
 
 
-def _is_single_lowercase(text: str) -> bool:
-    return len(text) == 1 and "a" <= text <= "z"
-
-
 def _cmd_eval(args) -> int:
     print(canonical_print(parse(args.expr)))
     return EXIT_OK
 
 
 def _cmd_deriv(args) -> int:
-    if not _is_single_lowercase(args.letter):
+    try:
+        letter_index(args.letter)
+    except ValueError:
         return _usage_error(f"LETTER must be a single lowercase letter, got {args.letter!r}")
     print(canonical_print(derivative(parse(args.expr), args.letter)))
     return EXIT_OK
@@ -347,7 +294,9 @@ def _cmd_subs(args) -> int:
         return _usage_error("substitutions come in LETTER REPLACEMENT pairs")
     pairs = []
     for target, replacement in zip(args.pairs[::2], args.pairs[1::2]):
-        if not _is_single_lowercase(target):
+        try:
+            letter_index(target)
+        except ValueError:
             return _usage_error(f"LETTER must be a single lowercase letter, got {target!r}")
         pairs.append((target, parse(replacement)))
     print(canonical_print(substitute(parse(args.expr), pairs)))
@@ -408,15 +357,10 @@ def _load_assignment(path: str, dim: int | None) -> MatrixAssignment:
             name: Matrix.from_jsonable(m)
             for name, m in obj.get("diff_bindings", {}).items()
         }
-        dims = {m.dim for m in [*bindings.values(), *diffs.values()]}
-        if not dims:
+        matrices = [*bindings.values(), *diffs.values()]
+        if not matrices:
             raise ValueError("fixture binds no matrices")
-        if len(dims) > 1:
-            raise ValueError(f"fixture matrices disagree on dimension: {sorted(dims)}")
-        fixture_dim = dims.pop()
-        if dim is not None and dim != fixture_dim:
-            raise ValueError(f"--dim {dim} does not match fixture dimension {fixture_dim}")
-        return MatrixAssignment(fixture_dim, bindings, diffs)
+        return MatrixAssignment(matrices[0].dim if dim is None else dim, bindings, diffs)
     except ValueError as exc:
         raise ParseError(0, f"{path}: {exc}", UNEXPECTED_CHAR) from None
 
@@ -484,6 +428,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (UnboundLetter, SingularMatrix, NonInvertibleReplacement, DegenerateSpec) as exc:
+    except (UnboundLetter, SingularMatrix, NonInvertibleReplacement, DegenerateSpec, NonFiniteCoefficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL_ERROR

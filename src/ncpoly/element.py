@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from numbers import Real
 
-from .words import Word, base_letter, join_reduced, reduce_word, word_from_text, word_sort_key
+from .words import DIFF_BASE, Word, join_reduced, reduce_word, word_from_text, word_sort_key
+
+
+class NonFiniteCoefficient(ArithmeticError, ValueError):
+    """A coefficient is infinite or NaN, given so or reached by arithmetic."""
+
+
+def _finite(data: dict[Word, float]) -> dict[Word, float]:
+    # one sum tests every value at once; only a non-finite sum, which
+    # finite values can also reach by overflow, needs the value by value test
+    if not math.isfinite(sum(data.values())):
+        for coeff in data.values():
+            if not math.isfinite(coeff):
+                raise NonFiniteCoefficient(f"coefficient {coeff!r} is not finite")
+    return data
 
 
 class Element:
@@ -33,13 +48,13 @@ class Element:
                 word = reduce_word(word)
                 data[word] = data.get(word, 0.0) + float(coeff)
             data = {w: c for w, c in data.items() if c != 0.0}
-        self._terms = data
+        self._terms = _finite(data)
 
     @classmethod
     def _from_reduced(cls, data: dict[Word, float]) -> "Element":
         # fast path: words already reduced, zero coefficients already dropped
         el = object.__new__(cls)
-        el._terms = data
+        el._terms = _finite(data)
         return el
 
     @classmethod
@@ -87,7 +102,7 @@ class Element:
 
     def letters(self) -> set[int]:
         """Letter indices used anywhere (inverses and differentials included)."""
-        return {base_letter(sym) for word in self._terms for sym in word}
+        return {abs(sym) % DIFF_BASE for word in self._terms for sym in word}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -99,7 +114,7 @@ class Element:
         if isinstance(other, Element):
             return self._terms == other._terms
         if isinstance(other, Real) and not isinstance(other, bool):
-            return self._terms == Element.constant(other)._terms
+            return self._terms.keys() <= {()} and self.constant_term == float(other)
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -1,6 +1,19 @@
-"""The element text syntax: flat sums of terms like ``3 + 5X - 2Xyx``.
+"""Reading element text: one tokenizer and the flat term syntax.
 
-Grammar (spaces allowed between tokens)::
+``tokenize`` is the one scanner for both expression grammars, this
+module's flat syntax (``parse``) and the session syntax of the command
+line (``ncpoly.cli.evaluate_expression``).  It yields ``Token``\\ s with
+0-based start and end offsets: ``num`` (digits and ``.``), ``name``
+(``[A-Za-z_][A-Za-z0-9_]*``), ``op`` (one of ``+-*^()[],=``) and a
+final ``end``.  Spaces between tokens are skipped.  It is the only
+place that checks numbers (a second decimal point, no digits, a value
+too large for a float are BadNumber) and characters (anything else is
+UnexpectedChar).  A rejected number or character comes out as a ``bad``
+token carrying its ParseError, so each grammar raises it where its own
+reading order reaches it: ``parse`` reads tokens lazily and reports the
+first error from the left, while the session scans the whole line first.
+
+The flat grammar (spaces allowed between tokens)::
 
     expression  := [sign] term {sign term}        empty input is zero
     term        := coefficient ["*" letters]
@@ -18,16 +31,17 @@ coefficient and its letters.  There is no power or parenthesis syntax.
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from .element import Element
-from .words import word_from_text
+from .words import Word, word_from_text
 
 UNEXPECTED_CHAR = "UnexpectedChar"
 BAD_NUMBER = "BadNumber"
 EMPTY_TERM = "EmptyTerm"
 TRAILING_INPUT = "TrailingInput"
-
-_DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
@@ -46,109 +60,115 @@ class ParseError(ValueError):
         self.kind = kind
 
 
+class Token(NamedTuple):
+    kind: str  # "num", "name", "op", "bad", "end"
+    text: str
+    value: float | ParseError | None  # the number, or a bad token's error
+    start: int
+    end: int
+
+
+_TOKEN = re.compile(
+    r" *(?:(?P<num>[0-9.]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()\[\],=])|(?P<bad>[^ ]))"
+)
+
+
+def tokenize(text: str) -> Iterator[Token]:
+    """Yield the tokens of ``text`` lazily, ending with an ``end`` token."""
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        start, end = match.span(kind)
+        raw = match[kind]
+        value = None
+        if kind == "num":
+            value = _number(raw, start)
+            if isinstance(value, ParseError):
+                kind = "bad"
+        elif kind == "bad":
+            value = ParseError(start, f"character {raw!r} is not element syntax", UNEXPECTED_CHAR)
+        yield Token(kind, raw, value, start, end)
+    yield Token("end", "", None, len(text), len(text))
+
+
+def _number(raw: str, start: int) -> float | ParseError:
+    second_dot = raw.find(".", raw.find(".") + 1)
+    if second_dot >= 0:
+        return ParseError(start + second_dot, "number has a second decimal point", BAD_NUMBER)
+    if raw == ".":
+        return ParseError(start, "number has no digits", BAD_NUMBER)
+    value = float(raw)
+    if not math.isfinite(value):
+        return ParseError(start, "number is too large for a float", BAD_NUMBER)
+    return value
+
+
 def parse(text: str) -> Element:
     """Parse element syntax, e.g. ``parse("xxyx + 2zy")``.
 
     The result is fully normalized: words reduced, like terms collected,
     zero coefficients dropped.  Raises ParseError on bad input.
     """
-    return _Parser(text).parse()
+    tokens = tokenize(text)
+    token = next(tokens)
+    if token.kind == "end":
+        return Element.zero()
+    sign = _SIGNS.get(token.text, 1.0)
+    if token.text in _SIGNS:
+        token = next(tokens)
+    terms: dict[Word, float] = {}
+    while True:
+        coeff = sign
+        if token.kind == "num":
+            coeff *= token.value
+            token = next(tokens)
+            if token.text == "*":
+                token = next(tokens)
+                if not _is_letters(token):
+                    raise ParseError(token.start, "expected generator letters after '*'", EMPTY_TERM)
+        elif not _is_letters(token):
+            raise _term_error(token)
+        word = ()
+        if _is_letters(token):
+            word = _word(token)
+            token = next(tokens)
+        # words from word_from_text are reduced already: collect like terms here
+        terms[word] = terms.get(word, 0.0) + coeff
+        if token.kind == "end":
+            return Element._from_reduced({w: c for w, c in terms.items() if c != 0.0})
+        if token.text not in _SIGNS:
+            raise _after_term_error(token.start, token.text[0])
+        sign = _SIGNS[token.text]
+        token = next(tokens)
 
 
-def _is_ascii_letter(ch: str) -> bool:
-    return ch.isascii() and ch.isalpha()
+_SIGNS = {"+": 1.0, "-": -1.0}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _is_letters(token: Token) -> bool:
+    return token.kind == "name" and token.text[0] != "_"
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def skip_spaces(self) -> None:
-        while self.peek() == " ":
-            self.pos += 1
+def _word(token: Token) -> Word:
+    """The word of a name token that must be letters only."""
+    text = token.text
+    if not text.isalpha():
+        # a digit or "_" ends the letters, and so the term
+        n = next(i for i, ch in enumerate(text) if not ch.isalpha())
+        raise _after_term_error(token.start + n, text[n])
+    return word_from_text(text)
 
-    def fail(self, position: int, message: str, kind: str):
-        raise ParseError(position, message, kind)
 
-    def parse(self) -> Element:
-        self.skip_spaces()
-        if not self.peek():
-            return Element.zero()
-        sign = 1.0
-        if self.peek() in "+-":
-            sign = -1.0 if self.peek() == "-" else 1.0
-            self.pos += 1
-        terms = []
-        while True:
-            terms.append(self.term(sign))
-            self.skip_spaces()
-            ch = self.peek()
-            if not ch:
-                break
-            if ch == "+":
-                sign = 1.0
-            elif ch == "-":
-                sign = -1.0
-            elif ch.isascii() and (ch.isalnum() or ch in ".*"):
-                self.fail(self.pos, f"unexpected {ch!r} after a complete term", TRAILING_INPUT)
-            else:
-                self.fail(self.pos, f"character {ch!r} is not element syntax", UNEXPECTED_CHAR)
-            self.pos += 1
-        return Element(terms)
+def _term_error(token: Token) -> ParseError:
+    if token.kind == "bad":
+        return token.value
+    if token.kind == "end" or token.text in _SIGNS:
+        return ParseError(token.start, "expected a term", EMPTY_TERM)
+    if token.text == "*":
+        return ParseError(token.start, "'*' needs a coefficient before it", UNEXPECTED_CHAR)
+    return ParseError(token.start, f"character {token.text[0]!r} is not element syntax", UNEXPECTED_CHAR)
 
-    def term(self, sign: float) -> tuple[tuple[int, ...], float]:
-        self.skip_spaces()
-        ch = self.peek()
-        if not ch:
-            self.fail(self.pos, "expected a term", EMPTY_TERM)
-        if ch in "+-":
-            self.fail(self.pos, "expected a term, not another sign", EMPTY_TERM)
-        if ch == "*":
-            self.fail(self.pos, "'*' needs a coefficient before it", UNEXPECTED_CHAR)
-        if ch in _DIGITS or ch == ".":
-            coeff = self.number()
-            self.skip_spaces()
-            if self.peek() == "*":
-                self.pos += 1
-                self.skip_spaces()
-                if not _is_ascii_letter(self.peek()):
-                    self.fail(self.pos, "expected generator letters after '*'", EMPTY_TERM)
-                return (self.letters(), sign * coeff)
-            if _is_ascii_letter(self.peek()):
-                return (self.letters(), sign * coeff)
-            return ((), sign * coeff)
-        if _is_ascii_letter(ch):
-            return (self.letters(), sign)
-        self.fail(self.pos, f"character {ch!r} is not element syntax", UNEXPECTED_CHAR)
 
-    def number(self) -> float:
-        start = self.pos
-        digits = 0
-        dot = -1
-        while True:
-            ch = self.peek()
-            if ch in _DIGITS:
-                digits += 1
-            elif ch == ".":
-                if dot >= 0:
-                    self.fail(self.pos, "number has a second decimal point", BAD_NUMBER)
-                dot = self.pos
-            else:
-                break
-            self.pos += 1
-        if digits == 0:
-            self.fail(start, "number has no digits", BAD_NUMBER)
-        value = float(self.text[start:self.pos])
-        if not math.isfinite(value):
-            self.fail(start, "number is too large for a float", BAD_NUMBER)
-        return value
-
-    def letters(self) -> tuple[int, ...]:
-        start = self.pos
-        while _is_ascii_letter(self.peek()):
-            self.pos += 1
-        return word_from_text(self.text[start:self.pos])
+def _after_term_error(position: int, ch: str) -> ParseError:
+    if ch.isascii() and (ch.isalnum() or ch in ".*"):
+        return ParseError(position, f"unexpected {ch!r} after a complete term", TRAILING_INPUT)
+    return ParseError(position, f"character {ch!r} is not element syntax", UNEXPECTED_CHAR)

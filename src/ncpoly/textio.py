@@ -22,7 +22,14 @@ def format_coefficient(value: float) -> str:
     value = float(value)
     if value.is_integer():
         return str(int(value))
-    return repr(value)
+    text = repr(value)
+    if "e" in text:
+        # repr writes values below 1e-4 as e.g. "1e-05", which both
+        # grammars would read as the coefficient 1 times the letter e
+        from decimal import Decimal
+
+        text = format(Decimal(text), "f")
+    return text
 
 
 def canonical_print(element: Element) -> str:
@@ -72,6 +79,8 @@ def from_json(text: str) -> Element:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.pos, f"invalid JSON: {exc.msg}", UNEXPECTED_CHAR) from None
+    except ValueError as exc:  # an integer too long for int(), see sys.set_int_max_str_digits
+        raise ParseError(0, f"invalid JSON number: {exc}", BAD_NUMBER) from None
     if not isinstance(obj, dict) or set(obj) != {"terms"} or not isinstance(obj["terms"], list):
         raise ParseError(0, 'expected an object of the form {"terms": [...]}', UNEXPECTED_CHAR)
     pairs = []

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncpoly import Element, canonical_print, from_json, parse
 from ncpoly.cli import (
@@ -17,7 +19,7 @@ from ncpoly.cli import (
     evaluate_expression,
     run_command,
 )
-from ncpoly.parsing import ParseError
+from ncpoly.parsing import BAD_NUMBER, TRAILING_INPUT, UNEXPECTED_CHAR, ParseError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -74,6 +76,49 @@ def test_expression_errors():
         evaluate_expression("foo2")
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("x*y", "xy"),
+        ("(x)", "x"),
+        ("2 zy", (TRAILING_INPUT, 2)),
+        # the whole line is scanned before it is parsed
+        ("x) 1.2.3", (BAD_NUMBER, 6)),
+        ("1.2.3 ?", (BAD_NUMBER, 3)),
+        ("2x 3 ?", (UNEXPECTED_CHAR, 5)),
+        ("1e5", UnknownName),
+        ("x_y", UnknownName),
+        ("x2", UnknownName),
+    ],
+)
+def test_session_grammar_differs_from_flat(text, expected):
+    """Where the session grammar reads text differently from ``parse``."""
+    if isinstance(expected, str):
+        assert evaluate_expression(text) == parse(expected)
+    elif isinstance(expected, tuple):
+        with pytest.raises(ParseError) as excinfo:
+            evaluate_expression(text)
+        assert (excinfo.value.kind, excinfo.value.position) == expected
+    else:
+        with pytest.raises(expected):
+            evaluate_expression(text)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([1, -1, 2, -2, 5, -5, 26]), max_size=5).map(tuple),
+            # bounded so that summing a few colliding terms cannot overflow
+            st.floats(-1e300, 1e300, allow_nan=False),
+        ),
+        max_size=5,
+    ).map(Element)
+)
+def test_both_grammars_read_the_printer(element):
+    text = canonical_print(element)
+    assert evaluate_expression(text) == parse(text) == element
+
+
 def test_bindings_resolve_before_words():
     session = {"zy": parse("x")}
     assert evaluate_expression("zy", session) == parse("x")
@@ -107,6 +152,14 @@ def test_run_command_error_positions_cover_whole_line():
     with pytest.raises(ParseError) as excinfo:
         run_command("AA = x ?", {})
     assert excinfo.value.position == 7  # offset within the full line
+
+
+def test_binding_lines_are_spaced_like_expressions():
+    # tokens are separated by spaces only, in a binding's "NAME =" as everywhere
+    for line, position in (("\tAA = x", 0), ("AA =\tx", 4), ("AA = x\n", 6)):
+        with pytest.raises(ParseError) as excinfo:
+            run_command(line, {})
+        assert (excinfo.value.kind, excinfo.value.position) == (UNEXPECTED_CHAR, position)
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +231,22 @@ def test_matcheck_unbound_letter_exits_3():
     assert "'y'" in result.stderr
 
 
+def _matrix(dim):
+    return {"dim": dim, "rows": [[float(r == c) for c in range(dim)] for r in range(dim)]}
+
+
+def test_matcheck_fixture_dimension_mismatch_exits_2(tmp_path):
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"bindings": {"x": _matrix(2), "y": _matrix(3)}}))
+    result = run_cli("matcheck", "x", "y", "--matrices", str(mixed))
+    assert result.returncode == EXIT_PARSE_ERROR
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({"bindings": {"x": _matrix(2)}}))
+    result = run_cli("matcheck", "x", "x", "--matrices", str(square), "--dim", "3")
+    assert result.returncode == EXIT_PARSE_ERROR
+    assert run_cli("matcheck", "x", "x", "--matrices", str(square), "--dim", "2").returncode == EXIT_OK
+
+
 def test_parse_errors_exit_2():
     for text in ("2**x", "x?y", "1.2.3", "2x +", "2x 3", "1" * 400 + "x"):
         result = run_cli("eval", text)
@@ -188,6 +257,10 @@ def test_parse_errors_exit_2():
 def test_noninvertible_substitution_exits_3():
     result = run_cli("subs", "X", "x", "1+y")
     assert result.returncode == EXIT_EVAL_ERROR
+    # 1/1e-320 is not a finite float
+    result = run_cli("subs", "X", "x", "." + "0" * 319 + "1x")
+    assert result.returncode == EXIT_EVAL_ERROR
+    assert "not finite" in result.stderr
 
 
 def test_usage_errors_exit_4():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncpoly import Element, commutator, parse
+from ncpoly import Element, NonFiniteCoefficient, commutator, parse
 from ncpoly.words import word_from_text
 
 from oracles import assert_normalized
@@ -107,6 +107,7 @@ def test_queries(paper):
     assert a.support() == [word_from_text("xxyx"), word_from_text("zy")]
     assert a.letters() == {24, 25, 26}
     assert c.letters() == {24, 25}
+    assert (parse("X") * Element.from_word((101,))).letters() == {1, 24}
 
 
 def test_equality_is_order_free(paper):
@@ -116,6 +117,8 @@ def test_equality_is_order_free(paper):
     assert a != parse("2zy")
     assert Element.constant(3) == 3
     assert Element.zero() == 0
+    assert Element.constant(3) != float("inf")
+    assert Element.zero() != float("nan")
 
 
 def test_hash_consistent_with_equality(paper):
@@ -125,6 +128,22 @@ def test_hash_consistent_with_equality(paper):
     assert hash(Element.constant(3)) == hash(3)
     assert hash(Element.constant(2.5)) == hash(2.5)
     assert hash(Element.zero()) == hash(0)
+
+
+def test_non_finite_coefficients_are_rejected():
+    with pytest.raises(NonFiniteCoefficient):
+        Element({(1,): 1e308}) * Element({(2,): 1e308})
+    with pytest.raises(NonFiniteCoefficient):
+        Element({(): float("inf")})
+    with pytest.raises(NonFiniteCoefficient):
+        Element.constant(float("nan"))
+    with pytest.raises(NonFiniteCoefficient):
+        parse("x") * float("inf")
+    with pytest.raises(NonFiniteCoefficient):
+        parse("2x") ** 1100
+    # finite values whose sum overflows are still finite coefficients
+    assert len(Element({(1,): 1e308, (2,): 1e308})) == 2
+    assert isinstance(NonFiniteCoefficient(), ArithmeticError)
 
 
 def test_operations_do_not_mutate_inputs(paper):

@@ -85,6 +85,20 @@ ERROR_CASES = [
     ("1e5", 2, TRAILING_INPUT),
     pytest.param("1" * 400 + "x", 0, BAD_NUMBER, id="overflowing-coefficient"),
     pytest.param("x - " + "9" * 400, 4, BAD_NUMBER, id="overflowing-last-term"),
+    ("x2", 1, TRAILING_INPUT),
+    ("x_y", 1, UNEXPECTED_CHAR),
+    ("3X_", 2, UNEXPECTED_CHAR),
+    ("2_x", 1, UNEXPECTED_CHAR),
+    ("x^2", 1, UNEXPECTED_CHAR),
+    pytest.param("x\ty", 1, UNEXPECTED_CHAR, id="tab"),
+    # errors come out left to right: what follows the first error is never read
+    ("2x 3 ?", 3, TRAILING_INPUT),
+    ("2x 3 1.2.3", 3, TRAILING_INPUT),
+    ("2x 1.2.3", 3, TRAILING_INPUT),
+    ("2 .", 2, TRAILING_INPUT),
+    ("2*?", 2, EMPTY_TERM),
+    ("2*_x", 2, EMPTY_TERM),
+    ("2* 1.2.3", 3, EMPTY_TERM),
 ]
 
 

@@ -22,6 +22,13 @@ def test_format_coefficient():
     assert format_coefficient(2.5) == "2.5"
     value = 1.0 / 3.0
     assert float(format_coefficient(value)) == value
+    # positional, never exponent form, which would read back as the letter e
+    assert format_coefficient(1e-05) == "0.00001"
+    assert format_coefficient(1.25e-07) == "0.000000125"
+    for value in (1e-05, 5e-324, 1.2345678901234567e-100):
+        assert float(format_coefficient(value)) == value
+        element = Element.from_word("x", value)
+        assert parse(canonical_print(element)) == element
 
 
 def test_print_goldens():
@@ -102,6 +109,7 @@ BAD_JSON = [
     ('{"terms": [{"word": [1], "coeff": Infinity}]}', BAD_NUMBER),
     ('{"terms": [{"word": [1], "coeff": -Infinity}]}', BAD_NUMBER),
     pytest.param('{"terms": [{"word": [1], "coeff": 1' + "0" * 400 + "}]}", BAD_NUMBER, id="int-overflowing-float"),
+    pytest.param('{"terms": [{"word": [1], "coeff": 1' + "0" * 5000 + "}]}", BAD_NUMBER, id="int-beyond-digit-limit"),
 ]
 
 
