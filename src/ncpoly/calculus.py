@@ -6,7 +6,7 @@ from numbers import Real
 
 from .element import Element
 from .parsing import parse
-from .words import DIFF_BASE, Word, invert_word, letter_index
+from .words import DIFF_BASE, Word, invert_word, join_reduced, letter_index
 
 
 class NonInvertibleReplacement(ValueError):
@@ -80,27 +80,23 @@ def _as_element(value) -> Element:
 
 
 def _substitute_one(element: Element, target: int, replacement: Element) -> Element:
-    inverse_image = None
+    images = {target: replacement}
     out: dict[Word, float] = {}
     for word, coeff in element.terms():
-        acc = Element._from_reduced({(): coeff})
-        chunk: list[int] = []
-        for sym in word:
+        acc = {(): coeff}
+        start = 0
+        for i, sym in enumerate(word):
             if sym == target or sym == -target:
-                if chunk:
-                    acc = acc * Element._from_reduced({tuple(chunk): 1.0})
-                    chunk = []
-                if sym == target:
-                    acc = acc * replacement
-                else:
-                    if inverse_image is None:
-                        inverse_image = _inverted(replacement)
-                    acc = acc * inverse_image
-            else:
-                chunk.append(sym)
-        if chunk:
-            acc = acc * Element._from_reduced({tuple(chunk): 1.0})
-        for w, c in acc._terms.items():
+                # joining one run onto distinct reduced words keeps them distinct
+                run = word[start:i]
+                acc = {join_reduced(w, run): c for w, c in acc.items()}
+                if sym not in images:
+                    images[sym] = _inverted(replacement)
+                acc = (Element._from_reduced(acc) * images[sym])._terms
+                start = i + 1
+        run = word[start:]
+        for w, c in acc.items():
+            w = join_reduced(w, run)
             total = out.get(w, 0.0) + c
             if total == 0.0:
                 out.pop(w, None)

@@ -10,7 +10,8 @@ exactly.
 
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 evaluation
 error (unbound generator, singular matrix, non-invertible replacement,
-degenerate random spec, non-finite coefficient), 4 usage error.
+degenerate random spec, non-finite coefficient or matrix entry), 4
+usage error.
 """
 
 from __future__ import annotations

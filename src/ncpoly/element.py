@@ -10,7 +10,7 @@ from .words import DIFF_BASE, Word, join_reduced, reduce_word, word_from_text, w
 
 
 class NonFiniteCoefficient(ArithmeticError, ValueError):
-    """A coefficient is infinite or NaN, given so or reached by arithmetic."""
+    """A coefficient or matrix entry is infinite or NaN, given so or reached by arithmetic."""
 
 
 def _finite(data: dict[Word, float]) -> dict[Word, float]:
@@ -172,9 +172,8 @@ class Element:
             return Element._from_reduced({w: c for w, c in data.items() if c != 0.0})
         if isinstance(other, Real) and not isinstance(other, bool):
             scale = float(other)
-            if scale == 0.0:
-                return Element.zero()
-            return Element._from_reduced({w: c * scale for w, c in self._terms.items()})
+            data = {w: c * scale for w, c in self._terms.items()}
+            return Element._from_reduced({w: c for w, c in data.items() if c != 0.0})
         return NotImplemented
 
     def __rmul__(self, other):

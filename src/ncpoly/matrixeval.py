@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from operator import mul
 
-from .element import Element
+from .element import Element, NonFiniteCoefficient
 from .randomgen import SplitMix64
-from .words import DIFF_BASE, is_inverse, is_letter, letter_index, symbol_text
+from .words import DIFF_BASE, letter_index, symbol_text
 
 SINGULAR_PIVOT_RTOL = 1e-12
 
@@ -33,8 +34,14 @@ class SingularMatrix(ArithmeticError):
     """An inverse was requested but a pivot fell below the singularity threshold."""
 
 
+def _matmul(a: tuple, b: tuple) -> tuple:
+    """Schoolbook product of two square row tuples of one size (``@`` and ``evaluate``)."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
 class Matrix:
-    """Immutable square real matrix, row-major entries."""
+    """Immutable, validated square real matrix; arithmetic beyond ``@`` works on ``rows``."""
 
     __slots__ = ("dim", "rows")
 
@@ -44,7 +51,7 @@ class Matrix:
         if dim == 0 or any(len(row) != dim for row in rows):
             raise ValueError("matrix must be square and nonempty")
         if any(not math.isfinite(x) for row in rows for x in row):
-            raise ValueError("matrix entries must be finite")
+            raise NonFiniteCoefficient("matrix entries must be finite")
         self.dim = dim
         self.rows = rows
 
@@ -65,39 +72,12 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({[list(row) for row in self.rows]!r})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._need_same_dim(other)
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._need_same_dim(other)
-        return Matrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-x for x in row) for row in self.rows))
-
-    def __mul__(self, scalar) -> "Matrix":
-        if isinstance(scalar, bool) or not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return Matrix(tuple(tuple(x * scalar for x in row) for row in self.rows))
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._need_same_dim(other)
-        cols = tuple(zip(*other.rows))
-        return Matrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return Matrix(_matmul(self.rows, other.rows))
 
     def max_abs(self) -> float:
         return max(abs(x) for row in self.rows for x in row)
@@ -166,10 +146,6 @@ class Matrix:
                     raise ValueError(f"matrix entries must be numbers, got {x!r}")
         return cls(rows)
 
-    def _need_same_dim(self, other: "Matrix") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
 
 def standard_normal_matrix(dim: int, rng: SplitMix64) -> Matrix:
     """``dim x dim`` matrix of standard normal draws, filled row-major."""
@@ -205,39 +181,32 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
     Each word maps to the ordered product of its symbols' matrices, the
     empty word to the identity; terms are scaled by their coefficients
     and summed.  The zero element gives the zero matrix.  Raises
-    UnboundLetter for missing bindings and SingularMatrix when an
-    inverse letter's binding cannot be inverted.
+    UnboundLetter for missing bindings, SingularMatrix when an inverse
+    letter's binding cannot be inverted and NonFiniteCoefficient when
+    the value overflows.
     """
     dim = assignment.dim
-    total = Matrix.zeros(dim)
-    inverses: dict[int, Matrix] = {}
+    identity = Matrix.identity(dim).rows
+    total = [[0.0] * dim for _ in range(dim)]
+    images: dict[int, tuple] = {}
     for word, coeff in element.terms():
-        product = Matrix.identity(dim)
+        product = identity
         for sym in word:
-            product = product @ _image(sym, assignment, inverses)
-        total = total + product * coeff
-    return total
+            if sym not in images:
+                images[sym] = _image(sym, assignment)
+            product = _matmul(product, images[sym])
+        for row, prow in zip(total, product):
+            row[:] = [t + p * coeff for t, p in zip(row, prow)]
+    return Matrix(total)
 
 
-def _image(sym: int, assignment: MatrixAssignment, inverses: dict) -> Matrix:
-    if is_letter(sym):
-        try:
-            return assignment.bindings[sym]
-        except KeyError:
-            raise UnboundLetter(symbol_text(sym)) from None
-    if is_inverse(sym):
-        index = -sym
-        if index not in inverses:
-            try:
-                base = assignment.bindings[index]
-            except KeyError:
-                raise UnboundLetter(symbol_text(index)) from None
-            inverses[index] = base.inverse()
-        return inverses[index]
-    try:
-        return assignment.diff_bindings[sym - DIFF_BASE]
-    except KeyError:
-        raise UnboundLetter(symbol_text(sym)) from None
+def _image(sym: int, assignment: MatrixAssignment) -> tuple:
+    key = abs(sym)
+    bindings = assignment.diff_bindings if key > DIFF_BASE else assignment.bindings
+    matrix = bindings.get(key % DIFF_BASE)
+    if matrix is None:
+        raise UnboundLetter(symbol_text(key))
+    return (matrix.inverse() if sym < 0 else matrix).rows
 
 
 @dataclass(frozen=True)
@@ -258,7 +227,7 @@ def homomorphism_check(
     """
     product = evaluate(a, assignment) @ evaluate(b, assignment)
     direct = evaluate(a * b, assignment)
-    max_abs = (product - direct).max_abs()
+    max_abs = max(abs(p - d) for pr, dr in zip(product.rows, direct.rows) for p, d in zip(pr, dr))
     scale = 1.0 + direct.max_abs()
     return HomomorphismReport(max_abs, max_abs / scale, max_abs <= tol * scale)
 

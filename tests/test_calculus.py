@@ -6,18 +6,20 @@ from hypothesis import strategies as st
 
 from ncpoly import (
     Element,
+    Matrix,
     MatrixAssignment,
     NonInvertibleReplacement,
     SplitMix64,
     derivative,
     evaluate,
     parse,
+    random_assignment,
     standard_normal_matrix,
     substitute,
 )
 from ncpoly.words import differential, inverse, letter, word_from_text
 
-from oracles import assert_normalized, expand_product
+from oracles import assert_normalized, expand_product, mat_add, mat_scale, mat_sub
 
 coeffs = st.integers(-9, 9)
 symbols = st.sampled_from([1, -1, 2, -2, differential("a")])
@@ -185,6 +187,38 @@ def test_derivative_words_stay_reduced_on_long_words(a):
         assert_normalized(derivative(a, target))
 
 
+tenths = st.integers(-9, 9).filter(bool).map(lambda n: n / 10)
+# no inverse of c, so c can take a polynomial replacement
+no_c_inverse_words = st.lists(
+    st.sampled_from([1, -1, 2, -2, 3, differential("a")]), max_size=5
+).map(tuple)
+# repeated derivatives of words in a and (da) sum many contributions into one word
+a_da_words = st.lists(st.sampled_from([1, differential("a")]), max_size=6).map(tuple)
+
+
+def _both_orders(pairs):
+    terms = Element(pairs).terms()
+    return Element(terms), Element(reversed(terms))
+
+
+@given(
+    st.lists(st.tuples(no_c_inverse_words, tenths), max_size=12),
+    st.lists(st.tuples(a_da_words, tenths), max_size=16),
+)
+def test_results_do_not_depend_on_term_order(pairs, a_da_pairs):
+    a, b = _both_orders(pairs)
+    # the constants collapse many words into one
+    rewrites = [("c", parse("0.3a - 1.7 + 0.9Ba")), ("b", 0.7)]
+    assert substitute(a, rewrites).terms() == substitute(b, rewrites).terms()
+    assignment = random_assignment("abc", 3, seed=17, diff_letters="a")
+    assert evaluate(a, assignment).rows == evaluate(b, assignment).rows
+    assert derivative(a, "b").terms() == derivative(b, "b").terms()
+    a, b = _both_orders(a_da_pairs)
+    for _ in range(3):
+        a, b = derivative(a, "a"), derivative(b, "a")
+        assert a.terms() == b.terms()
+
+
 # ----------------------------------------------------------------------
 # numerical cross-check of the derivative
 
@@ -198,15 +232,18 @@ def _gradient_relative_error(element, step, seed):
     }
     direction = standard_normal_matrix(dim, rng)
     plain = MatrixAssignment(dim, base)
-    shifted = MatrixAssignment(dim, {"a": base["a"] + direction * step, "b": base["b"]})
-    fd = (evaluate(element, shifted) - evaluate(element, plain)) * (1.0 / step)
+    shifted_a = Matrix(mat_add(base["a"].rows, mat_scale(step, direction.rows)))
+    shifted = MatrixAssignment(dim, {"a": shifted_a, "b": base["b"]})
+    fd = mat_scale(
+        1.0 / step, mat_sub(evaluate(element, shifted).rows, evaluate(element, plain).rows)
+    )
     exact = evaluate(
         derivative(element, "a"),
         MatrixAssignment(dim, base, {"a": direction}),
     )
     return max(
         abs(f - e) / (1.0 + abs(e))
-        for rf, re_ in zip(fd.rows, exact.rows)
+        for rf, re_ in zip(fd, exact.rows)
         for f, e in zip(rf, re_)
     )
 

@@ -231,6 +231,20 @@ def test_matcheck_unbound_letter_exits_3():
     assert "'y'" in result.stderr
 
 
+def test_matcheck_overflow_exits_3(tmp_path):
+    big, huge = "1" + "0" * 300, "1" + "0" * 200
+    # the first overflows in a sum of terms, the second in eval(a) @ eval(b)
+    for a, b in ((f"{big}x + {big}y", f"{big}xx"), (f"{huge}x", f"{huge}y")):
+        result = run_cli("matcheck", a, b, "--seed", "1", "--dim", "3")
+        assert result.returncode == EXIT_EVAL_ERROR
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error:")
+    # a non-finite fixture entry is bad input, not an evaluation error
+    fixture = tmp_path / "nan.json"
+    fixture.write_text('{"bindings": {"x": {"dim": 1, "rows": [[NaN]]}}}')
+    assert run_cli("matcheck", "x", "x", "--matrices", str(fixture)).returncode == EXIT_PARSE_ERROR
+
+
 def _matrix(dim):
     return {"dim": dim, "rows": [[float(r == c) for c in range(dim)] for r in range(dim)]}
 

@@ -24,6 +24,11 @@ def test_construction_normalizes():
     assert len(Element.zero()) == 0
     assert not Element.zero()
     assert Element.one().constant_term == 1.0
+    # a product that underflows to zero is dropped like any other zero
+    tiny = Element({(1,): 1e-300})
+    for value in (tiny * 1e-300, 1e-300 * tiny, 0.5 * Element({(1,): 5e-324})):
+        assert_normalized(value)
+        assert value == Element.zero()
 
 
 def test_from_word():
