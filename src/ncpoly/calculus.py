@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from numbers import Real
-
-from .element import Element
+from .element import Element, _coerce
 from .parsing import parse
 from .words import DIFF_BASE, Word, invert_word, join_reduced, letter_index
 
@@ -61,22 +59,15 @@ def derivative(element: Element, letter: str | int) -> Element:
                 delta = -coeff
             else:
                 continue
-            total = out.get(new, 0.0) + delta
-            if total == 0.0:
-                out.pop(new, None)
-            else:
-                out[new] = total
+            out[new] = out.get(new, 0.0) + delta
     return Element._from_reduced(out)
 
 
 def _as_element(value) -> Element:
-    if isinstance(value, Element):
-        return value
-    if isinstance(value, str):
-        return parse(value)
-    if isinstance(value, Real) and not isinstance(value, bool):
-        return Element.constant(value)
-    raise TypeError(f"cannot use {value!r} as a replacement")
+    element = parse(value) if isinstance(value, str) else _coerce(value)
+    if element is None:
+        raise TypeError(f"cannot use {value!r} as a replacement")
+    return element
 
 
 def _substitute_one(element: Element, target: int, replacement: Element) -> Element:
@@ -97,11 +88,7 @@ def _substitute_one(element: Element, target: int, replacement: Element) -> Elem
         run = word[start:]
         for w, c in acc.items():
             w = join_reduced(w, run)
-            total = out.get(w, 0.0) + c
-            if total == 0.0:
-                out.pop(w, None)
-            else:
-                out[w] = total
+            out[w] = out.get(w, 0.0) + c
     return Element._from_reduced(out)
 
 

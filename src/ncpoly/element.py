@@ -9,11 +9,23 @@ from numbers import Real
 from .words import DIFF_BASE, Word, join_reduced, reduce_word, word_from_text, word_sort_key
 
 
+# the most terms, and the most symbols in a word, that ``**`` may build
+POWER_LIMIT = 10**6
+
+
 class NonFiniteCoefficient(ArithmeticError, ValueError):
     """A coefficient or matrix entry is infinite or NaN, given so or reached by arithmetic."""
 
 
-def _finite(data: dict[Word, float]) -> dict[Word, float]:
+def _normal(data: dict[Word, float]) -> dict[Word, float]:
+    """The stored form of every element: summed terms, zero and ``-0.0`` dropped.
+
+    The one place that enforces the invariant; raises NonFiniteCoefficient
+    when a coefficient is infinite or NaN.
+    """
+    # 0.0 and -0.0 are the only falsy floats
+    if not all(data.values()):
+        data = {w: c for w, c in data.items() if c != 0.0}
     # one sum tests every value at once; only a non-finite sum, which
     # finite values can also reach by overflow, needs the value by value test
     if not math.isfinite(sum(data.values())):
@@ -47,14 +59,16 @@ class Element:
             for word, coeff in items:
                 word = reduce_word(word)
                 data[word] = data.get(word, 0.0) + float(coeff)
-            data = {w: c for w, c in data.items() if c != 0.0}
-        self._terms = _finite(data)
+        self._terms = _normal(data)
 
     @classmethod
     def _from_reduced(cls, data: dict[Word, float]) -> "Element":
-        # fast path: words already reduced, zero coefficients already dropped
+        """Internal constructor from summed terms whose words are already reduced.
+
+        Skips word validation; zero coefficients may remain and are dropped.
+        """
         el = object.__new__(cls)
-        el._terms = _finite(data)
+        el._terms = _normal(data)
         return el
 
     @classmethod
@@ -67,15 +81,13 @@ class Element:
 
     @classmethod
     def constant(cls, value: float) -> "Element":
-        value = float(value)
-        return cls._from_reduced({(): value} if value != 0.0 else {})
+        return cls._from_reduced({(): float(value)})
 
     @classmethod
     def from_word(cls, word, coeff: float = 1.0) -> "Element":
         """Single term ``coeff * word``; accepts letters text like ``"xxY"``."""
-        if isinstance(word, str):
-            word = word_from_text(word)
-        return cls([(tuple(word), coeff)])
+        word = word_from_text(word) if isinstance(word, str) else reduce_word(word)
+        return cls._from_reduced({word: float(coeff)})
 
     # ------------------------------------------------------------------
     # queries
@@ -132,11 +144,7 @@ class Element:
             return NotImplemented
         data = dict(self._terms)
         for word, coeff in other._terms.items():
-            total = data.get(word, 0.0) + coeff
-            if total == 0.0:
-                data.pop(word, None)
-            else:
-                data[word] = total
+            data[word] = data.get(word, 0.0) + coeff
         return Element._from_reduced(data)
 
     __radd__ = __add__
@@ -160,33 +168,33 @@ class Element:
         return self
 
     def __mul__(self, other):
-        if isinstance(other, Element):
-            data: dict[Word, float] = {}
-            # visit terms in word order, so colliding contributions are
-            # summed in an order fixed by the values, not by dict history
-            right = sorted(other._terms.items())
-            for w1, c1 in sorted(self._terms.items()):
-                for w2, c2 in right:
-                    word = join_reduced(w1, w2)
-                    data[word] = data.get(word, 0.0) + c1 * c2
-            return Element._from_reduced({w: c for w, c in data.items() if c != 0.0})
-        if isinstance(other, Real) and not isinstance(other, bool):
-            scale = float(other)
-            data = {w: c * scale for w, c in self._terms.items()}
-            return Element._from_reduced({w: c for w, c in data.items() if c != 0.0})
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        data: dict[Word, float] = {}
+        # visit terms in word order, so colliding contributions are
+        # summed in an order fixed by the values, not by dict history
+        right = sorted(other._terms.items())
+        for w1, c1 in sorted(self._terms.items()):
+            for w2, c2 in right:
+                word = join_reduced(w1, w2)
+                data[word] = data.get(word, 0.0) + c1 * c2
+        return Element._from_reduced(data)
 
-    def __rmul__(self, other):
-        if isinstance(other, Real) and not isinstance(other, bool):
-            # scalars commute with everything
-            return self * other
-        return NotImplemented
+    # a scalar, the only other operand, commutes with everything
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if isinstance(n, bool) or not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("elements are not invertible in general; power must be >= 0")
+        # bounds on the result, checked before expanding; with two or more
+        # terms, an exponent of POWER_LIMIT.bit_length() already passes the limit
+        terms = len(self) ** min(n, POWER_LIMIT.bit_length())
+        symbols = n * max(map(len, self._terms), default=0)
+        if terms > POWER_LIMIT or symbols > POWER_LIMIT:
+            raise OverflowError(f"power could exceed the limit of {POWER_LIMIT} terms or symbols per word")
         result = Element.one()
         base = self
         while n:

@@ -191,10 +191,11 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
     images: dict[int, tuple] = {}
     for word, coeff in element.terms():
         product = identity
-        for sym in word:
+        for i, sym in enumerate(word):
             if sym not in images:
                 images[sym] = _image(sym, assignment)
-            product = _matmul(product, images[sym])
+            # a word's product starts at its first symbol's image
+            product = _matmul(product, images[sym]) if i else images[sym]
         for row, prow in zip(total, product):
             row[:] = [t + p * coeff for t, p in zip(row, prow)]
     return Matrix(total)

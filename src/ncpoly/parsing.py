@@ -86,7 +86,8 @@ def tokenize(text: str) -> Iterator[Token]:
                 kind = "bad"
         elif kind == "bad":
             value = ParseError(start, f"character {raw!r} is not element syntax", UNEXPECTED_CHAR)
-        yield Token(kind, raw, value, start, end)
+        # tuple.__new__ skips the NamedTuple's slower Python-level __new__
+        yield tuple.__new__(Token, (kind, raw, value, start, end))
     yield Token("end", "", None, len(text), len(text))
 
 
@@ -134,7 +135,7 @@ def parse(text: str) -> Element:
         # words from word_from_text are reduced already: collect like terms here
         terms[word] = terms.get(word, 0.0) + coeff
         if token.kind == "end":
-            return Element._from_reduced({w: c for w, c in terms.items() if c != 0.0})
+            return Element._from_reduced(terms)
         if token.text not in _SIGNS:
             raise _after_term_error(token.start, token.text[0])
         sign = _SIGNS[token.text]

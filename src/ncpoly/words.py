@@ -16,9 +16,11 @@ collation rank; checking, printing, reading and sorting symbols and
 words are all lookups in it.
 
 Boundary rule: ``reduce_word`` validates every symbol and fully reduces,
-and runs only where outside data enters (``Element(...)``,
-``Element.coeff``, ``word_from_text``).  Internal joins such as
-``join_reduced`` assume reduced input and cancel only at the seam.
+and runs once wherever outside data enters (``Element(...)``,
+``Element.from_word``, ``Element.coeff``, ``word_from_text``).  Internal
+joins such as ``join_reduced`` assume reduced input and cancel only at
+the seam, and the words they make go to ``Element._from_reduced``
+unchecked.
 """
 
 from __future__ import annotations
@@ -65,14 +67,6 @@ def inverse(x: str | int) -> int:
 def differential(x: str | int) -> int:
     """Symbol code of the differential token of a letter."""
     return DIFF_BASE + letter_index(x)
-
-
-def is_letter(sym: int) -> bool:
-    return 1 <= sym <= 26
-
-
-def is_inverse(sym: int) -> bool:
-    return -26 <= sym <= -1
 
 
 def is_differential(sym: int) -> bool:

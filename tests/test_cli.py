@@ -314,6 +314,8 @@ def test_repl_session_transcript():
             "x = 5",
             "oops?",
             "A*(B+5) - A*B - 5*A",
+            "x^99999999999",
+            "A",
         ]
     )
     result = run_cli(stdin=lines + "\n")
@@ -326,6 +328,8 @@ def test_repl_session_transcript():
     assert out[4].startswith("error:")  # binding a lowercase letter
     assert out[5].startswith("error:")  # bad character, session continues
     assert out[6] == "0"
+    assert out[7].startswith("error:")  # a runaway power is refused at once
+    assert out[8] == "+ 1*xxyx + 2*zy"
 
 
 def test_repl_subcommand_matches_default():

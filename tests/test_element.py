@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncpoly import Element, NonFiniteCoefficient, commutator, parse
+from ncpoly import Element, NonFiniteCoefficient, commutator, derivative, from_json, parse, substitute, to_json
+from ncpoly.element import POWER_LIMIT
 from ncpoly.words import word_from_text
 
 from oracles import assert_normalized
@@ -24,9 +25,25 @@ def test_construction_normalizes():
     assert len(Element.zero()) == 0
     assert not Element.zero()
     assert Element.one().constant_term == 1.0
-    # a product that underflows to zero is dropped like any other zero
+    # a product that underflows to zero is dropped like any other zero,
+    # and so is a sum that cancels, from every producer of terms
     tiny = Element({(1,): 1e-300})
-    for value in (tiny * 1e-300, 1e-300 * tiny, 0.5 * Element({(1,): 5e-324})):
+    a = parse("xxyx + 2zy")
+    cancelled = (
+        tiny * 1e-300,
+        1e-300 * tiny,
+        0.5 * Element({(1,): 5e-324}),
+        tiny * Element({(2,): 1e-300}),
+        a + (-a),
+        parse("x - x"),
+        parse("0x - 0y"),
+        Element({(1,): -0.0}),
+        Element.constant(-0.0),
+        Element.from_word("x", 0.0),
+        derivative(Element({(1, 101): 1.0, (101, 1): -1.0}), "a"),
+        substitute(parse("a - b"), a="b"),
+    )
+    for value in cancelled:
         assert_normalized(value)
         assert value == Element.zero()
 
@@ -92,6 +109,10 @@ def test_pow():
     assert parse("x+y") ** 2 == parse("xx + xy + yx + yy")
     with pytest.raises(ValueError):
         parse("x") ** -1
+    # a runaway power is refused before it expands
+    for base, n in ((parse("x+y"), 40), (parse("x"), 10**9), (parse("x+y"), 10**100)):
+        with pytest.raises(OverflowError, match=str(POWER_LIMIT)):
+            base ** n
 
 
 def test_commutator(paper):
@@ -144,6 +165,12 @@ def test_non_finite_coefficients_are_rejected():
         Element.constant(float("nan"))
     with pytest.raises(NonFiniteCoefficient):
         parse("x") * float("inf")
+    # a non-finite scalar is rejected as an operand, even against zero
+    for scalar in (float("inf"), float("-inf"), float("nan")):
+        for element in (parse("x"), parse("-x"), Element.zero()):
+            for value in (lambda: element * scalar, lambda: scalar * element, lambda: element + scalar):
+                with pytest.raises(NonFiniteCoefficient, match=repr(scalar)):
+                    value()
     with pytest.raises(NonFiniteCoefficient):
         parse("2x") ** 1100
     # finite values whose sum overflows are still finite coefficients
@@ -181,7 +208,10 @@ def test_multiplicative_identity(a):
 
 @given(elements, elements)
 def test_results_are_normalized(a, b):
-    for value in (a, b, a + b, a - b, a * b, -a, a ** 2):
+    values = (a, b, a + b, a - b, a * b, -a, a ** 2, a + (-a), a * 1e-300 * 1e-300, (a * 1e-200) * (b * 1e-200))
+    values += (derivative(a, "a"), derivative(a * b, "b"), substitute(a, c=b), substitute(a - b, c=a))
+    values += (parse(str(a)), from_json(to_json(a)))
+    for value in values:
         assert_normalized(value)
 
 

@@ -90,6 +90,7 @@ def test_evaluate_constants():
     assert evaluate(Element.one(), assignment) == Matrix.identity(4)
     assert evaluate(Element.zero(), assignment) == Matrix.zeros(4)
     assert evaluate(Element.constant(2.5), assignment) == Matrix(mat_scale(2.5, mat_identity(4)))
+    assert evaluate(parse("x"), assignment) == assignment.bindings[24]
 
 
 def test_evaluate_matches_direct_expression():
