@@ -172,10 +172,12 @@ class Element:
         if other is None:
             return NotImplemented
         data: dict[Word, float] = {}
-        # visit terms in word order, so colliding contributions are
-        # summed in an order fixed by the values, not by dict history
-        right = sorted(other._terms.items())
-        for w1, c1 in sorted(self._terms.items()):
+        left, right = self._terms.items(), other._terms.items()
+        # a one-term operand gives distinct products; otherwise visit terms in
+        # word order, so collisions are summed in an order fixed by the values
+        if len(left) > 1 and len(right) > 1:
+            left, right = sorted(left), sorted(right)
+        for w1, c1 in left:
             for w2, c2 in right:
                 word = join_reduced(w1, w2)
                 data[word] = data.get(word, 0.0) + c1 * c2
@@ -189,20 +191,14 @@ class Element:
             return NotImplemented
         if n < 0:
             raise ValueError("elements are not invertible in general; power must be >= 0")
-        # bounds on the result, checked before expanding; with two or more
-        # terms, an exponent of POWER_LIMIT.bit_length() already passes the limit
-        terms = len(self) ** min(n, POWER_LIMIT.bit_length())
-        symbols = n * max(map(len, self._terms), default=0)
-        if terms > POWER_LIMIT or symbols > POWER_LIMIT:
-            raise OverflowError(f"power could exceed the limit of {POWER_LIMIT} terms or symbols per word")
         result = Element.one()
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = _bounded_product(result, base)
             n >>= 1
             if n:
-                base = base * base
+                base = _bounded_product(base, base)
         return result
 
     def commutator(self, other: "Element") -> "Element":
@@ -216,6 +212,18 @@ class Element:
 
     def __repr__(self) -> str:
         return f"<Element {self}>"
+
+
+def _bounded_product(a: Element, b: Element) -> Element:
+    """``a * b``, refused when it could pass POWER_LIMIT terms or symbols per word.
+
+    The bounds count the operands, so terms that collided or cancelled earlier do not.
+    """
+    terms = len(a) * len(b)
+    symbols = max(map(len, a._terms), default=0) + max(map(len, b._terms), default=0)
+    if terms > POWER_LIMIT or symbols > POWER_LIMIT:
+        raise OverflowError(f"power could exceed the limit of {POWER_LIMIT} terms or symbols per word")
+    return a * b
 
 
 def _coerce(value):

@@ -109,6 +109,10 @@ def test_pow():
     assert parse("x+y") ** 2 == parse("xx + xy + yx + yy")
     with pytest.raises(ValueError):
         parse("x") ** -1
+    # the limit counts each step's operands, after earlier terms collided or cancelled
+    binomial = parse("1+x") ** 30
+    assert len(binomial) == 31 and binomial.coeff("x" * 15) == 155117520
+    assert len(parse("x+X") ** 30) == 31
     # a runaway power is refused before it expands
     for base, n in ((parse("x+y"), 40), (parse("x"), 10**9), (parse("x+y"), 10**100)):
         with pytest.raises(OverflowError, match=str(POWER_LIMIT)):
