@@ -8,10 +8,12 @@ named bindings (``NAME = expr``).  It reads the tokens of
 the flat element syntax so their output matches the library printer
 exactly.
 
+The session refuses a ``*`` product or bracket, like a ``^`` power,
+that could pass ``element.POWER_LIMIT`` terms or symbols per word.
+
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 evaluation
 error (unbound generator, singular matrix, non-invertible replacement,
-degenerate random spec, non-finite coefficient or matrix entry), 4
-usage error.
+non-finite coefficient or matrix entry), 4 usage error.
 """
 
 from __future__ import annotations
@@ -20,17 +22,10 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .calculus import NonInvertibleReplacement, derivative, substitute
-from .element import Element, NonFiniteCoefficient
-from .matrixeval import (
-    Matrix,
-    MatrixAssignment,
-    SingularMatrix,
-    UnboundLetter,
-    homomorphism_check,
-    random_assignment,
-)
+# calculus, matrixeval and randomgen load on first use, through the package
+import ncpoly
+
+from .element import Element, _bounded_product
 from .parsing import (
     BAD_NUMBER,
     EMPTY_TERM,
@@ -41,7 +36,6 @@ from .parsing import (
     parse,
     tokenize,
 )
-from .randomgen import DegenerateSpec, RandSpec, random_element
 from .textio import canonical_print, to_json
 from .words import letter_index
 
@@ -127,7 +121,7 @@ class _ExpressionParser:
         value = self.signed()
         while self.at_op("*"):
             self.advance()
-            value = value * self.signed()
+            value = _bounded_product(value, self.signed())
         return value
 
     def signed(self) -> Element:
@@ -172,7 +166,7 @@ class _ExpressionParser:
             self.expect_op(",")
             right = self.expression()
             self.expect_op("]")
-            return left.commutator(right)
+            return _bounded_product(left, right) - _bounded_product(right, left)
         if token.kind == "end":
             raise ParseError(token.start, "expected an expression", EMPTY_TERM)
         raise ParseError(token.start, f"unexpected {token.text!r}", UNEXPECTED_CHAR)
@@ -193,7 +187,7 @@ class _ExpressionParser:
             self.expect_op(",")
             letter = self.letter_argument()
             self.expect_op(")")
-            return derivative(argument, letter)
+            return ncpoly.derivative(argument, letter)
         pairs = []
         while self.at_op(","):
             self.advance()
@@ -201,7 +195,7 @@ class _ExpressionParser:
             self.expect_op("=")
             pairs.append((letter, self.expression()))
         self.expect_op(")")
-        return substitute(argument, pairs)
+        return ncpoly.substitute(argument, pairs)
 
     def letter_argument(self) -> int:
         token = self.advance()
@@ -286,7 +280,7 @@ def _cmd_deriv(args) -> int:
         letter_index(args.letter)
     except ValueError:
         return _usage_error(f"LETTER must be a single lowercase letter, got {args.letter!r}")
-    print(canonical_print(derivative(parse(args.expr), args.letter)))
+    print(canonical_print(ncpoly.derivative(parse(args.expr), args.letter)))
     return EXIT_OK
 
 
@@ -300,13 +294,13 @@ def _cmd_subs(args) -> int:
         except ValueError:
             return _usage_error(f"LETTER must be a single lowercase letter, got {target!r}")
         pairs.append((target, parse(replacement)))
-    print(canonical_print(substitute(parse(args.expr), pairs)))
+    print(canonical_print(ncpoly.substitute(parse(args.expr), pairs)))
     return EXIT_OK
 
 
 def _cmd_rand(args) -> int:
     try:
-        spec = RandSpec(
+        spec = ncpoly.RandSpec(
             seed=args.seed,
             n_terms=args.terms,
             alphabet=tuple(args.alphabet),
@@ -316,7 +310,7 @@ def _cmd_rand(args) -> int:
         )
     except ValueError as exc:
         return _usage_error(str(exc))
-    print(canonical_print(random_element(spec)))
+    print(canonical_print(ncpoly.random_element(spec)))
     return EXIT_OK
 
 
@@ -334,14 +328,14 @@ def _cmd_matcheck(args) -> int:
         if args.seed is None:
             return _usage_error("either --seed or --matrices is required")
         letters = sorted(a.letters() | b.letters())
-        assignment = random_assignment(letters, args.dim if args.dim else 5, args.seed)
-    report = homomorphism_check(a, b, assignment, args.tol)
+        assignment = ncpoly.random_assignment(letters, args.dim if args.dim else 5, args.seed)
+    report = ncpoly.homomorphism_check(a, b, assignment, args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max_abs={report.max_abs_residual:.3e} max_rel={report.max_rel_residual:.3e}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _load_assignment(path: str, dim: int | None) -> MatrixAssignment:
+def _load_assignment(path: str, dim: int | None) -> ncpoly.MatrixAssignment:
     """Read a matrix fixture: {"bindings": {letter: matrix}, "diff_bindings": {...}}
     with each matrix in the {"dim": n, "rows": [[...], ...]} form."""
     with open(path, encoding="utf-8") as handle:
@@ -353,15 +347,15 @@ def _load_assignment(path: str, dim: int | None) -> MatrixAssignment:
     if not isinstance(obj, dict) or "bindings" not in obj or not isinstance(obj["bindings"], dict):
         raise ParseError(0, f'{path}: expected {{"bindings": {{...}}}}', UNEXPECTED_CHAR)
     try:
-        bindings = {name: Matrix.from_jsonable(m) for name, m in obj["bindings"].items()}
+        bindings = {name: ncpoly.Matrix.from_jsonable(m) for name, m in obj["bindings"].items()}
         diffs = {
-            name: Matrix.from_jsonable(m)
+            name: ncpoly.Matrix.from_jsonable(m)
             for name, m in obj.get("diff_bindings", {}).items()
         }
         matrices = [*bindings.values(), *diffs.values()]
         if not matrices:
             raise ValueError("fixture binds no matrices")
-        return MatrixAssignment(matrices[0].dim if dim is None else dim, bindings, diffs)
+        return ncpoly.MatrixAssignment(matrices[0].dim if dim is None else dim, bindings, diffs)
     except ValueError as exc:
         raise ParseError(0, f"{path}: {exc}", UNEXPECTED_CHAR) from None
 
@@ -371,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ncpoly",
         description="noncommutative polynomial calculator over invertible generators",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {ncpoly.__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)
 
     p = sub.add_parser("eval", help="parse an element and print its canonical form")
@@ -429,6 +423,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (UnboundLetter, SingularMatrix, NonInvertibleReplacement, DegenerateSpec, NonFiniteCoefficient) as exc:
+    # the tuple is evaluated, and its modules loaded, only when an exception gets here
+    except (ncpoly.UnboundLetter, ncpoly.SingularMatrix, ncpoly.NonInvertibleReplacement, ncpoly.NonFiniteCoefficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL_ERROR

@@ -9,7 +9,8 @@ from numbers import Real
 from .words import DIFF_BASE, Word, join_reduced, reduce_word, word_from_text, word_sort_key
 
 
-# the most terms, and the most symbols in a word, that ``**`` may build
+# the most terms, and the most symbols in a word, that ``**`` may build;
+# ``*`` is unbounded, and ``_bounded_product`` applies the limit to one product
 POWER_LIMIT = 10**6
 
 
@@ -222,7 +223,7 @@ def _bounded_product(a: Element, b: Element) -> Element:
     terms = len(a) * len(b)
     symbols = max(map(len, a._terms), default=0) + max(map(len, b._terms), default=0)
     if terms > POWER_LIMIT or symbols > POWER_LIMIT:
-        raise OverflowError(f"power could exceed the limit of {POWER_LIMIT} terms or symbols per word")
+        raise OverflowError(f"product could exceed the limit of {POWER_LIMIT} terms or symbols per word")
     return a * b
 
 

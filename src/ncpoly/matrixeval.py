@@ -11,8 +11,8 @@ multiplication and LU factorization with partial pivoting for inverses.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from operator import mul
 
 from .element import Element, NonFiniteCoefficient
@@ -152,8 +152,7 @@ def standard_normal_matrix(dim: int, rng: SplitMix64) -> Matrix:
     return Matrix(tuple(tuple(rng.normal() for _ in range(dim)) for _ in range(dim)))
 
 
-@dataclass(frozen=True)
-class MatrixAssignment:
+class MatrixAssignment(namedtuple("MatrixAssignment", "dim bindings diff_bindings")):
     """Bindings from generator letters (and differential tokens) to matrices.
 
     Keys may be letters or indices; every bound matrix must be square of
@@ -161,18 +160,18 @@ class MatrixAssignment:
     inverse of their letter's binding, computed on demand.
     """
 
-    dim: int
-    bindings: Mapping
-    diff_bindings: Mapping = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        bindings = {letter_index(k): v for k, v in dict(self.bindings).items()}
-        diffs = {letter_index(k): v for k, v in dict(self.diff_bindings).items()}
+    def __new__(cls, dim: int, bindings: Mapping, diff_bindings: Mapping = ()):
+        bindings = {letter_index(k): v for k, v in dict(bindings).items()}
+        diffs = {letter_index(k): v for k, v in dict(diff_bindings).items()}
         for matrix in [*bindings.values(), *diffs.values()]:
-            if matrix.dim != self.dim:
+            if matrix.dim != dim:
                 raise ValueError("all bound matrices must share the assignment dimension")
-        object.__setattr__(self, "bindings", bindings)
-        object.__setattr__(self, "diff_bindings", diffs)
+        return super().__new__(cls, dim, bindings, diffs)
+
+    # _replace goes through _make, which would otherwise skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
@@ -210,11 +209,7 @@ def _image(sym: int, assignment: MatrixAssignment) -> tuple:
     return (matrix.inverse() if sym < 0 else matrix).rows
 
 
-@dataclass(frozen=True)
-class HomomorphismReport:
-    max_abs_residual: float
-    max_rel_residual: float
-    passed: bool
+HomomorphismReport = namedtuple("HomomorphismReport", "max_abs_residual max_rel_residual passed")
 
 
 def homomorphism_check(

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from collections.abc import Iterator
-from typing import NamedTuple
 
 from .element import Element
 from .words import Word, word_from_text
@@ -60,12 +60,8 @@ class ParseError(ValueError):
         self.kind = kind
 
 
-class Token(NamedTuple):
-    kind: str  # "num", "name", "op", "bad", "end"
-    text: str
-    value: float | ParseError | None  # the number, or a bad token's error
-    start: int
-    end: int
+# kind is "num", "name", "op", "bad" or "end"; value is the number, or a bad token's error
+Token = namedtuple("Token", "kind text value start end")
 
 
 _TOKEN = re.compile(
@@ -86,7 +82,7 @@ def tokenize(text: str) -> Iterator[Token]:
                 kind = "bad"
         elif kind == "bad":
             value = ParseError(start, f"character {raw!r} is not element syntax", UNEXPECTED_CHAR)
-        # tuple.__new__ skips the NamedTuple's slower Python-level __new__
+        # tuple.__new__ skips the namedtuple's slower Python-level __new__
         yield tuple.__new__(Token, (kind, raw, value, start, end))
     yield Token("end", "", None, len(text), len(text))
 

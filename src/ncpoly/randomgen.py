@@ -24,7 +24,7 @@ Reference outputs are frozen in ``tests/fixtures/prng.json``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .element import Element
 from .words import letter_index
@@ -50,10 +50,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in ``[0, n)``."""
+        """Uniform integer in ``[0, n)``, for ``0 < n <= 2**64``."""
         if n <= 0:
             raise ValueError("bound must be positive")
         cutoff = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        # above 2**64 the cutoff is 0, so every draw would be rejected
+        if not cutoff:
+            raise ValueError("bound must be at most 2**64")
         while True:
             value = self.next_uint64()
             if value < cutoff:
@@ -82,40 +85,46 @@ class DegenerateSpec(ValueError):
     """Every attempt at a nonzero element collapsed to zero."""
 
 
-@dataclass(frozen=True)
-class RandSpec:
+class RandSpec(namedtuple("RandSpec", "seed n_terms alphabet word_len coeff_range allow_inverse")):
     """Parameters for one reproducible random element.
 
     ``alphabet`` accepts letter indices or letters (a string like
-    ``"abc"`` works); both range fields are inclusive.  The defaults
-    draw small integer coefficients so test arithmetic stays exact in
-    doubles.
+    ``"abc"`` works); both range fields are inclusive and may span at
+    most ``2**64`` values.  The defaults draw small integer coefficients
+    so test arithmetic stays exact in doubles.
     """
 
-    seed: int
-    n_terms: int = 5
-    alphabet: tuple[int, ...] = (1, 2, 3)
-    word_len: tuple[int, int] = (1, 4)
-    coeff_range: tuple[int, int] = (1, 9)
-    allow_inverse: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        letters = tuple(sorted({letter_index(x) for x in self.alphabet}))
+    def __new__(
+        cls,
+        seed: int,
+        n_terms: int = 5,
+        alphabet: tuple[int, ...] = (1, 2, 3),
+        word_len: tuple[int, int] = (1, 4),
+        coeff_range: tuple[int, int] = (1, 9),
+        allow_inverse: bool = False,
+    ):
+        letters = tuple(sorted({letter_index(x) for x in alphabet}))
         if not letters:
             raise ValueError("alphabet must not be empty")
-        object.__setattr__(self, "alphabet", letters)
-        object.__setattr__(self, "word_len", (int(self.word_len[0]), int(self.word_len[1])))
-        object.__setattr__(
-            self, "coeff_range", (int(self.coeff_range[0]), int(self.coeff_range[1]))
-        )
-        if self.n_terms < 1:
+        word_len = (int(word_len[0]), int(word_len[1]))
+        coeff_range = (int(coeff_range[0]), int(coeff_range[1]))
+        if n_terms < 1:
             raise ValueError("n_terms must be at least 1")
-        lo, hi = self.word_len
+        lo, hi = word_len
         if lo < 0 or hi < lo:
-            raise ValueError(f"word_len range is empty or negative: {self.word_len}")
-        lo, hi = self.coeff_range
+            raise ValueError(f"word_len range is empty or negative: {word_len}")
+        lo, hi = coeff_range
         if hi < lo:
-            raise ValueError(f"coeff_range is empty: {self.coeff_range}")
+            raise ValueError(f"coeff_range is empty: {coeff_range}")
+        for name, (lo, hi) in (("word_len", word_len), ("coeff_range", coeff_range)):
+            if hi - lo >= 1 << 64:
+                raise ValueError(f"{name} spans more than 2**64 values: {(lo, hi)}")
+        return super().__new__(cls, seed, n_terms, letters, word_len, coeff_range, allow_inverse)
+
+    # _replace goes through _make, which would otherwise skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def random_element(spec: RandSpec) -> Element:

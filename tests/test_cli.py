@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from ncpoly.cli import (
     UnknownName,
     evaluate_expression,
     run_command,
+    run_repl,
 )
 from ncpoly.parsing import BAD_NUMBER, TRAILING_INPUT, UNEXPECTED_CHAR, ParseError
 
@@ -287,6 +289,7 @@ def test_usage_errors_exit_4():
         ("rand",),
         ("matcheck", "x", "y"),
         ("rand", "--seed", "1", "--lenmin", "3", "--lenmax", "1"),
+        ("rand", "--seed", "1", "--coeffmax", str(2**64 + 1)),
     ]
     for args in cases:
         result = run_cli(*args)
@@ -330,6 +333,16 @@ def test_repl_session_transcript():
     assert out[6] == "0"
     assert out[7].startswith("error:")  # a runaway power is refused at once
     assert out[8] == "+ 1*xxyx + 2*zy"
+
+
+def test_session_products_are_bounded():
+    stdout = io.StringIO()
+    assert run_repl(io.StringIO("X = x^600000\nX*X\n[X, X]\n[a, b]\n"), stdout) == EXIT_OK
+    refused = "error: product could exceed the limit of 1000000 terms or symbols per word"
+    assert stdout.getvalue().splitlines() == [refused, refused, "+ 1*ab - 1*ba"]
+    # the library's * is not bounded
+    power = evaluate_expression("x^600000")
+    assert (power * power).support() == [(24,) * 1_200_000]
 
 
 def test_repl_subcommand_matches_default():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import subprocess
 import sys
 
@@ -85,6 +87,22 @@ def test_assignment_validation_and_key_forms():
         MatrixAssignment(3, {"x": m})
 
 
+def test_assignment_is_a_validated_named_tuple():
+    m = Matrix([[1, 2], [3, 4]])
+    assignment = MatrixAssignment(2, {"a": m}, {"b": m})
+    assert repr(assignment) == (
+        "MatrixAssignment(dim=2, bindings={1: Matrix([[1.0, 2.0], [3.0, 4.0]])}, "
+        "diff_bindings={2: Matrix([[1.0, 2.0], [3.0, 4.0]])})"
+    )
+    assert assignment == (2, {1: m}, {2: m})
+    assert MatrixAssignment(2, {"a": m}).diff_bindings == {}
+    assert pickle.loads(pickle.dumps(assignment)) == assignment == copy.deepcopy(assignment)
+    with pytest.raises(TypeError):
+        hash(assignment)  # its bindings are dicts
+    with pytest.raises(ValueError, match="share the assignment dimension"):
+        assignment._replace(dim=3)
+
+
 def test_evaluate_constants():
     assignment = random_assignment("xyz", 4, seed=8)
     assert evaluate(Element.one(), assignment) == Matrix.identity(4)
@@ -140,6 +158,8 @@ def test_homomorphism_report_fields():
     assert report.max_abs_residual == 0.0
     assert report.max_rel_residual == 0.0
     assert report.passed
+    assert repr(report) == "HomomorphismReport(max_abs_residual=0.0, max_rel_residual=0.0, passed=True)"
+    assert report == (0.0, 0.0, True)
 
 
 def test_homomorphism_on_seeded_triples():

@@ -1,4 +1,8 @@
+import copy
 import json
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,20 @@ def test_below_bounds_and_errors():
     assert all(0 <= rng.below(7) < 7 for _ in range(200))
     with pytest.raises(ValueError):
         rng.below(0)
+    assert 0 <= rng.below(2**64) < 2**64
+
+
+def test_below_rejects_bounds_past_64_bits():
+    # the rejection cutoff is 0 there, so without the check below() never returns
+    code = (
+        "from ncpoly import SplitMix64\n"
+        "try:\n"
+        "    SplitMix64(1).below(2**64 + 1)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.stdout == "bound must be at most 2**64\n", result.stderr
 
 
 def test_uniform_range():
@@ -86,6 +104,24 @@ def test_spec_validation():
         RandSpec(seed=1, coeff_range=(5, 4))
     with pytest.raises(ValueError):
         RandSpec(seed=1, alphabet="a1")
+    # below() draws at most 2**64 values
+    with pytest.raises(ValueError, match="coeff_range spans more than"):
+        RandSpec(seed=1, coeff_range=(0, 2**64))
+    with pytest.raises(ValueError, match="word_len spans more than"):
+        RandSpec(seed=1, word_len=(0, 2**64))
+    assert RandSpec(seed=1, coeff_range=(1, 2**64)).coeff_range == (1, 2**64)
+
+
+def test_spec_is_a_validated_named_tuple():
+    spec = RandSpec(seed=1, alphabet="ba", word_len=[2, 3.0])
+    assert repr(spec) == (
+        "RandSpec(seed=1, n_terms=5, alphabet=(1, 2), word_len=(2, 3), coeff_range=(1, 9), allow_inverse=False)"
+    )
+    assert spec == (1, 5, (1, 2), (2, 3), (1, 9), False)
+    assert pickle.loads(pickle.dumps(spec)) == spec == copy.deepcopy(spec)
+    assert spec._replace(alphabet="xy").alphabet == (24, 25)
+    with pytest.raises(ValueError, match="n_terms must be at least 1"):
+        spec._replace(n_terms=0)
 
 
 def test_degenerate_spec_raises():
