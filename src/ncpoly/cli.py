@@ -13,13 +13,16 @@ that could pass ``element.POWER_LIMIT`` terms or symbols per word.
 
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 evaluation
 error (unbound generator, singular matrix, non-invertible replacement,
-non-finite coefficient or matrix entry), 4 usage error.
+non-finite coefficient or matrix entry), 4 usage error (including an
+unreadable ``--matrices`` file, a ``--dim`` below 1, a negative or
+non-finite ``--tol`` and ``rand`` sizes past ``POWER_LIMIT``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 # calculus, matrixeval and randomgen load on first use, through the package
@@ -320,15 +323,22 @@ def _cmd_json(args) -> int:
 
 
 def _cmd_matcheck(args) -> int:
+    if args.dim is not None and args.dim < 1:
+        return _usage_error(f"--dim must be at least 1, got {args.dim}")
+    if not 0 <= args.tol < math.inf:
+        return _usage_error(f"--tol must be finite and not negative, got {args.tol}")
     a = parse(args.expr_a)
     b = parse(args.expr_b)
     if args.matrices is not None:
-        assignment = _load_assignment(args.matrices, args.dim)
+        try:
+            assignment = _load_assignment(args.matrices, args.dim)
+        except OSError as exc:
+            return _usage_error(f"cannot read {args.matrices}: {exc.strerror or exc}")
     else:
         if args.seed is None:
             return _usage_error("either --seed or --matrices is required")
         letters = sorted(a.letters() | b.letters())
-        assignment = ncpoly.random_assignment(letters, args.dim if args.dim else 5, args.seed)
+        assignment = ncpoly.random_assignment(letters, 5 if args.dim is None else args.dim, args.seed)
     report = ncpoly.homomorphism_check(a, b, assignment, args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max_abs={report.max_abs_residual:.3e} max_rel={report.max_rel_residual:.3e}")
@@ -338,8 +348,11 @@ def _cmd_matcheck(args) -> int:
 def _load_assignment(path: str, dim: int | None) -> ncpoly.MatrixAssignment:
     """Read a matrix fixture: {"bindings": {letter: matrix}, "diff_bindings": {...}}
     with each matrix in the {"dim": n, "rows": [[...], ...]} form."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise ParseError(0, f"{path} is not UTF-8 text", UNEXPECTED_CHAR) from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -183,18 +183,32 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
     UnboundLetter for missing bindings, SingularMatrix when an inverse
     letter's binding cannot be inverted and NonFiniteCoefficient when
     the value overflows.
+
+    Words come in ``terms()`` order, so neighbours share long prefixes:
+    each word reuses the stacked products of the prefix it shares with
+    the word before it.  Every word is still the left fold ``M1 @ M2 @
+    ...``, added in the same order, so the result is bitwise equal to
+    folding each word from scratch.
     """
     dim = assignment.dim
     identity = Matrix.identity(dim).rows
     total = [[0.0] * dim for _ in range(dim)]
     images: dict[int, tuple] = {}
+    prefix: list[tuple] = []  # prefix[k]: product of the first k+1 symbols of prev
+    prev: tuple = ()
     for word, coeff in element.terms():
-        product = identity
-        for i, sym in enumerate(word):
+        shared = 0
+        for s, t in zip(word, prev):
+            if s != t:
+                break
+            shared += 1
+        del prefix[shared:]
+        for sym in word[shared:]:
             if sym not in images:
                 images[sym] = _image(sym, assignment)
-            # a word's product starts at its first symbol's image
-            product = _matmul(product, images[sym]) if i else images[sym]
+            prefix.append(_matmul(prefix[-1], images[sym]) if prefix else images[sym])
+        product = prefix[-1] if word else identity
+        prev = word
         for row, prow in zip(total, product):
             row[:] = [t + p * coeff for t, p in zip(row, prow)]
     return Matrix(total)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .element import Element
+from .element import POWER_LIMIT, Element
 from .words import letter_index
 
 _MASK64 = (1 << 64) - 1
@@ -90,8 +90,10 @@ class RandSpec(namedtuple("RandSpec", "seed n_terms alphabet word_len coeff_rang
 
     ``alphabet`` accepts letter indices or letters (a string like
     ``"abc"`` works); both range fields are inclusive and may span at
-    most ``2**64`` values.  The defaults draw small integer coefficients
-    so test arithmetic stays exact in doubles.
+    most ``2**64`` values.  ``n_terms``, and ``n_terms`` times the
+    longest word, are held to ``element.POWER_LIMIT``, so no draw runs
+    away.  The defaults draw small integer coefficients so test
+    arithmetic stays exact in doubles.
     """
 
     __slots__ = ()
@@ -121,6 +123,9 @@ class RandSpec(namedtuple("RandSpec", "seed n_terms alphabet word_len coeff_rang
         for name, (lo, hi) in (("word_len", word_len), ("coeff_range", coeff_range)):
             if hi - lo >= 1 << 64:
                 raise ValueError(f"{name} spans more than 2**64 values: {(lo, hi)}")
+        # every term and every symbol costs a draw, so both are capped like a power
+        if max(n_terms, n_terms * word_len[1]) > POWER_LIMIT:
+            raise ValueError(f"a draw may hold at most {POWER_LIMIT} terms and symbols: {n_terms} terms, word_len {word_len}")
         return super().__new__(cls, seed, n_terms, letters, word_len, coeff_range, allow_inverse)
 
     # _replace goes through _make, which would otherwise skip __new__

@@ -61,6 +61,19 @@ def mat_max_abs_diff(a, b):
     return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def fold_evaluate(terms, images, dim):
+    """Matrix value of (word, coeff) pairs, in the given order: each word
+    folded from scratch with mat_mul from its first symbol's image (the
+    empty word is the identity), then added entrywise as t + p*coeff."""
+    total = [[0.0] * dim for _ in range(dim)]
+    for word, coeff in terms:
+        product = images[word[0]] if word else mat_identity(dim)
+        for sym in word[1:]:
+            product = mat_mul(product, images[sym])
+        total = [[t + p * coeff for t, p in zip(tr, pr)] for tr, pr in zip(total, product)]
+    return total
+
+
 def expand_product(factors):
     """Product of term dicts (word tuple -> coeff) by concatenation."""
     acc = {(): 1.0}

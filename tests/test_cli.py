@@ -209,6 +209,7 @@ def test_matcheck_passes_on_random_matrices():
     assert result.returncode == EXIT_OK
     assert result.stdout.startswith("PASS max_abs=")
     assert "max_rel=" in result.stdout
+    assert run_cli("matcheck", "x", "x", "--seed", "1", "--dim", "1", "--tol", "0").returncode == EXIT_OK
 
 
 def test_matcheck_reports_failure_with_exit_1():
@@ -263,6 +264,20 @@ def test_matcheck_fixture_dimension_mismatch_exits_2(tmp_path):
     assert run_cli("matcheck", "x", "x", "--matrices", str(square), "--dim", "2").returncode == EXIT_OK
 
 
+def test_matcheck_unreadable_matrices_are_input_errors(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        result = run_cli("matcheck", "x", "x", "--matrices", str(path))
+        assert result.returncode == EXIT_USAGE_ERROR, path
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert f"error: cannot read {path}: " in result.stderr
+    # a file that reads but is not UTF-8 is bad input, like invalid JSON
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"bindings": \xff}')
+    result = run_cli("matcheck", "x", "x", "--matrices", str(binary))
+    assert result.returncode == EXIT_PARSE_ERROR
+    assert result.stderr.splitlines() == [result.stderr.strip()]
+
+
 def test_parse_errors_exit_2():
     for text in ("2**x", "x?y", "1.2.3", "2x +", "2x 3", "1" * 400 + "x"):
         result = run_cli("eval", text)
@@ -290,6 +305,14 @@ def test_usage_errors_exit_4():
         ("matcheck", "x", "y"),
         ("rand", "--seed", "1", "--lenmin", "3", "--lenmax", "1"),
         ("rand", "--seed", "1", "--coeffmax", str(2**64 + 1)),
+        # without the size cap these draw symbols until memory runs out
+        ("rand", "--seed", "1", "--terms", "1", "--lenmin", str(10**12), "--lenmax", str(10**12)),
+        ("rand", "--seed", "1", "--terms", str(10**12)),
+        ("matcheck", "x", "x", "--seed", "1", "--dim", "0"),
+        ("matcheck", "x", "x", "--seed", "1", "--dim", "-2"),
+        ("matcheck", "x", "x", "--seed", "1", "--tol", "nan"),
+        ("matcheck", "x", "x", "--seed", "1", "--tol=-1"),
+        ("matcheck", "x", "x", "--seed", "1", "--tol", "inf"),
     ]
     for args in cases:
         result = run_cli(*args)

@@ -4,7 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ncpoly.matrixeval as matrixeval
 from ncpoly import (
     Element,
     Matrix,
@@ -20,8 +23,9 @@ from ncpoly import (
     random_element,
     standard_normal_matrix,
 )
+from ncpoly.words import differential
 
-from oracles import mat_add, mat_identity, mat_max_abs_diff, mat_mul, mat_scale
+from oracles import brute_reduce, fold_evaluate, mat_add, mat_identity, mat_max_abs_diff, mat_mul, mat_scale
 
 
 def _rel_diff(m, reference):
@@ -200,3 +204,54 @@ def test_evaluation_is_linear():
     left = evaluate(a + b, assignment)
     right = Matrix(mat_add(evaluate(a, assignment).rows, evaluate(b, assignment).rows))
     assert _rel_diff(left, right) <= 1e-12
+
+
+# a and b, their inverses and the differential tokens (da) and (db)
+eval_symbols = st.sampled_from([1, -1, 2, -2, differential("a"), differential("b")])
+reduced_words = st.lists(eval_symbols, max_size=6).map(brute_reduce)
+tenths = st.integers(-9, 9).filter(bool).map(lambda n: n / 10)
+
+
+@st.composite
+def prefix_sharing_elements(draw):
+    """Elements on a few reduced words and on some of their prefixes (the
+    empty word is one), so neighbours in ``terms()`` order share prefixes
+    of every length."""
+    words = draw(st.lists(reduced_words, min_size=1, max_size=5))
+    prefixes = sorted({w[:k] for w in words for k in range(len(w))})
+    chosen = set(words) | {p for p in prefixes if draw(st.booleans())}
+    return Element([(w, draw(tenths)) for w in sorted(chosen)])
+
+
+@given(prefix_sharing_elements(), st.integers(1, 4), st.integers(0, 2**32))
+def test_evaluate_equals_folding_each_word_from_scratch(element, dim, seed):
+    assignment = random_assignment("ab", dim, seed, diff_letters="ab")
+    images = {}
+    for i, matrix in assignment.bindings.items():
+        images[i], images[-i] = matrix.rows, matrix.inverse().rows
+    for i, matrix in assignment.diff_bindings.items():
+        images[differential(i)] = matrix.rows
+    expected = fold_evaluate(element.terms(), images, dim)
+    # bitwise: the shared prefixes change no association and no summation order
+    assert evaluate(element, assignment).rows == tuple(map(tuple, expected))
+
+
+def test_evaluate_multiplies_each_shared_prefix_once(monkeypatch):
+    dx = differential("x")
+    element = parse("1 + x + xy + xyz + xyzX + xyy + xzz + y + yx + yxz + Yx") + Element(
+        [((26, dx), 0.5), ((26, dx, 24), 0.25)]
+    )
+    calls = []
+
+    def counting_matmul(a, b):
+        calls.append(1)
+        return real_matmul(a, b)
+
+    real_matmul = matrixeval._matmul
+    monkeypatch.setattr(matrixeval, "_matmul", counting_matmul)
+    assignment = random_assignment("xyz", 3, seed=7, diff_letters="x")
+    evaluate(element, assignment)
+    words = [word for word, _ in element.terms()]
+    # one product per distinct prefix of two or more symbols, against one per symbol after the first
+    assert len(calls) == len({w[:k] for w in words for k in range(2, len(w) + 1)}) == 11
+    assert sum(len(w) - 1 for w in words if w) == 17

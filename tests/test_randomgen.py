@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ncpoly import DegenerateSpec, RandSpec, SplitMix64, commutator, random_element
+from ncpoly.element import POWER_LIMIT
 
 from oracles import assert_normalized
 
@@ -110,6 +111,11 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="word_len spans more than"):
         RandSpec(seed=1, word_len=(0, 2**64))
     assert RandSpec(seed=1, coeff_range=(1, 2**64)).coeff_range == (1, 2**64)
+    # every term and symbol costs a draw, so their counts are capped
+    for n_terms, word_len in ((POWER_LIMIT + 1, (0, 0)), (1, (0, POWER_LIMIT + 1)), (1000, (1, 1001))):
+        with pytest.raises(ValueError, match=str(POWER_LIMIT)):
+            RandSpec(seed=1, n_terms=n_terms, word_len=word_len)
+    assert RandSpec(seed=1, n_terms=POWER_LIMIT, word_len=(0, 1)).n_terms == POWER_LIMIT
 
 
 def test_spec_is_a_validated_named_tuple():
