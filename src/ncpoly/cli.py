@@ -9,7 +9,9 @@ the flat element syntax so their output matches the library printer
 exactly.
 
 The session refuses a ``*`` product or bracket, like a ``^`` power,
-that could pass ``element.POWER_LIMIT`` terms or symbols per word.
+that could pass ``element.POWER_LIMIT`` terms or symbols per word, a
+``deriv`` or ``subs`` whose result could pass it in terms or in symbols
+across all its words, and nesting deeper than ``MAX_NESTING``.
 
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 evaluation
 error (unbound generator, singular matrix, non-invertible replacement,
@@ -28,7 +30,7 @@ import sys
 # calculus, matrixeval and randomgen load on first use, through the package
 import ncpoly
 
-from .element import Element, _bounded_product
+from .element import POWER_LIMIT, Element, _bounded_product
 from .parsing import (
     BAD_NUMBER,
     EMPTY_TERM,
@@ -49,6 +51,10 @@ EXIT_EVAL_ERROR = 3
 EXIT_USAGE_ERROR = 4
 
 RESERVED_FUNCTIONS = ("deriv", "subs")
+
+# the deepest session nesting of parentheses, brackets and calls; each level
+# takes about six Python frames, well inside the default recursion limit
+MAX_NESTING = 100
 
 
 class SessionError(ValueError):
@@ -82,6 +88,7 @@ class _ExpressionParser:
         self.tokens = tokens
         self.session = session
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -156,23 +163,29 @@ class _ExpressionParser:
                 self.advance()
                 value = value * self.resolve(nxt)
             return value
-        if token.kind == "name":
-            if token.text in RESERVED_FUNCTIONS and self.at_op("("):
-                return self.call(token.text)
+        if token.kind == "name" and not (token.text in RESERVED_FUNCTIONS and self.at_op("(")):
             return self.resolve(token)
-        if token.kind == "op" and token.text == "(":
+        if token.kind == "end":
+            raise ParseError(token.start, "expected an expression", EMPTY_TERM)
+        if token.kind != "name" and token.text not in ("(", "["):
+            raise ParseError(token.start, f"unexpected {token.text!r}", UNEXPECTED_CHAR)
+        # a nested expression: parentheses, a bracket or a call
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(token.start, f"expression nests deeper than {MAX_NESTING} levels", UNEXPECTED_CHAR)
+        if token.text == "(":
             value = self.expression()
             self.expect_op(")")
-            return value
-        if token.kind == "op" and token.text == "[":
+        elif token.text == "[":
             left = self.expression()
             self.expect_op(",")
             right = self.expression()
             self.expect_op("]")
-            return _bounded_product(left, right) - _bounded_product(right, left)
-        if token.kind == "end":
-            raise ParseError(token.start, "expected an expression", EMPTY_TERM)
-        raise ParseError(token.start, f"unexpected {token.text!r}", UNEXPECTED_CHAR)
+            value = _bounded_product(left, right) - _bounded_product(right, left)
+        else:
+            value = self.call(token.text)
+        self.depth -= 1
+        return value
 
     def resolve(self, token: Token) -> Element:
         name = token.text
@@ -190,7 +203,7 @@ class _ExpressionParser:
             self.expect_op(",")
             letter = self.letter_argument()
             self.expect_op(")")
-            return ncpoly.derivative(argument, letter)
+            return _bounded_derivative(argument, letter)
         pairs = []
         while self.at_op(","):
             self.advance()
@@ -198,7 +211,10 @@ class _ExpressionParser:
             self.expect_op("=")
             pairs.append((letter, self.expression()))
         self.expect_op(")")
-        return ncpoly.substitute(argument, pairs)
+        # the pairs apply one after another, each checked against the result so far
+        for letter, replacement in pairs:
+            argument = _bounded_substitution(argument, letter, replacement)
+        return argument
 
     def letter_argument(self) -> int:
         token = self.advance()
@@ -207,6 +223,43 @@ class _ExpressionParser:
         except ValueError:
             kind = EMPTY_TERM if token.kind == "end" else UNEXPECTED_CHAR
             raise ParseError(token.start, "expected a single generator letter", kind) from None
+
+
+def _bounded_derivative(element: Element, letter: int) -> Element:
+    """``derivative``, refused when its terms or their symbols in all could pass POWER_LIMIT."""
+    terms = symbols = 0
+    for word in element.support():
+        hits = word.count(letter) + word.count(-letter)
+        terms += hits
+        symbols += hits * (len(word) + 2)
+    _check_size("deriv", terms, symbols)
+    return ncpoly.derivative(element, letter)
+
+
+def _bounded_substitution(element: Element, letter: int, replacement: Element) -> Element:
+    """One substitution pair, refused like ``_bounded_derivative``.
+
+    A word with k occurrences of the letter and m of its inverse becomes at
+    most n**k terms, n being the replacement's term count, each at most
+    len(word) + (k + m) * (longest - 1) symbols long, longest being the
+    replacement's longest word.
+    """
+    n = len(replacement)
+    longest = max(map(len, replacement.support()), default=0)
+    terms = symbols = 0
+    for word in element.support():
+        k, m = word.count(letter), word.count(-letter)
+        # n**20 is past the limit for any n above 1, so the exponent stops there
+        count = n ** min(k, 20)
+        terms += count
+        symbols += count * (len(word) + (k + m) * (longest - 1))
+    _check_size("subs", terms, symbols)
+    return ncpoly.substitute(element, [(letter, replacement)])
+
+
+def _check_size(function: str, terms: int, symbols: int) -> None:
+    if terms > POWER_LIMIT or symbols > POWER_LIMIT:
+        raise OverflowError(f"{function} could exceed the limit of {POWER_LIMIT} terms or symbols in all")
 
 
 def evaluate_expression(text: str, session: dict | None = None) -> Element:
@@ -359,6 +412,8 @@ def _load_assignment(path: str, dim: int | None) -> ncpoly.MatrixAssignment:
         raise ParseError(exc.pos, f"invalid JSON in {path}: {exc.msg}", UNEXPECTED_CHAR) from None
     if not isinstance(obj, dict) or "bindings" not in obj or not isinstance(obj["bindings"], dict):
         raise ParseError(0, f'{path}: expected {{"bindings": {{...}}}}', UNEXPECTED_CHAR)
+    if not isinstance(obj.get("diff_bindings", {}), dict):
+        raise ParseError(0, f'{path}: "diff_bindings" must be an object', UNEXPECTED_CHAR)
     try:
         bindings = {name: ncpoly.Matrix.from_jsonable(m) for name, m in obj["bindings"].items()}
         diffs = {

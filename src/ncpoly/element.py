@@ -87,8 +87,7 @@ class Element:
     @classmethod
     def from_word(cls, word, coeff: float = 1.0) -> "Element":
         """Single term ``coeff * word``; accepts letters text like ``"xxY"``."""
-        word = word_from_text(word) if isinstance(word, str) else reduce_word(word)
-        return cls._from_reduced({word: float(coeff)})
+        return cls._from_reduced({_word_argument(word): float(coeff)})
 
     # ------------------------------------------------------------------
     # queries
@@ -103,11 +102,7 @@ class Element:
 
     def coeff(self, word) -> float:
         """Coefficient of a word, 0.0 when absent; accepts letters text."""
-        if isinstance(word, str):
-            word = word_from_text(word)
-        else:
-            word = reduce_word(word)
-        return self._terms.get(word, 0.0)
+        return self._terms.get(_word_argument(word), 0.0)
 
     @property
     def constant_term(self) -> float:
@@ -225,6 +220,11 @@ def _bounded_product(a: Element, b: Element) -> Element:
     if terms > POWER_LIMIT or symbols > POWER_LIMIT:
         raise OverflowError(f"product could exceed the limit of {POWER_LIMIT} terms or symbols per word")
     return a * b
+
+
+def _word_argument(word) -> Word:
+    """A public word argument, letters text or a symbol sequence, as a reduced word."""
+    return word_from_text(word) if isinstance(word, str) else reduce_word(word)
 
 
 def _coerce(value):

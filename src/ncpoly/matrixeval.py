@@ -132,19 +132,17 @@ class Matrix:
             or isinstance(obj["dim"], bool)
             or not isinstance(obj["dim"], int)
             or not isinstance(obj["rows"], list)
+            or not all(isinstance(row, list) for row in obj["rows"])
         ):
             raise ValueError('matrix must be {"dim": n, "rows": [[...], ...]}')
-        dim = obj["dim"]
-        rows = obj["rows"]
-        if len(rows) != dim or any(
-            not isinstance(row, list) or len(row) != dim for row in rows
-        ):
-            raise ValueError(f"rows do not form a {dim}x{dim} matrix")
-        for row in rows:
+        for row in obj["rows"]:
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, (int, float)):
                     raise ValueError(f"matrix entries must be numbers, got {x!r}")
-        return cls(rows)
+        matrix = cls(obj["rows"])
+        if matrix.dim != obj["dim"]:
+            raise ValueError(f"rows do not form a {obj['dim']}x{obj['dim']} matrix")
+        return matrix
 
 
 def standard_normal_matrix(dim: int, rng: SplitMix64) -> Matrix:

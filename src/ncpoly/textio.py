@@ -14,7 +14,11 @@ import math
 
 from .element import Element
 from .parsing import BAD_NUMBER, UNEXPECTED_CHAR, ParseError
-from .words import DIFF_BASE, differential, is_differential, symbol_text, word_text
+from .words import _TEXT, Word, reduce_checked, word_text
+
+# a JSON word entry is the signed letter index, or "da".."dz" for a differential token
+_TO_JSON = {sym: text[1:-1] if text[0] == "(" else sym for sym, text in _TEXT.items()}
+_FROM_JSON = {entry: sym for sym, entry in _TO_JSON.items()}
 
 
 def format_coefficient(value: float) -> str:
@@ -61,7 +65,7 @@ def to_json(element: Element) -> str:
     """
     terms = [
         {
-            "word": [_symbol_to_json(s) for s in word],
+            "word": list(map(_TO_JSON.__getitem__, word)),
             "coeff": int(coeff) if coeff.is_integer() else coeff,
         }
         for word, coeff in element.terms()
@@ -72,8 +76,8 @@ def to_json(element: Element) -> str:
 def from_json(text: str) -> Element:
     """Rebuild an element from its JSON form, normalizing on the way in.
 
-    Raises ParseError on malformed JSON, schema violations, out-of-range
-    symbol integers and non-numeric coefficients.
+    Raises ParseError on malformed JSON, schema violations, word entries
+    that are not in the symbol table and non-numeric coefficients.
     """
     try:
         obj = json.loads(text)
@@ -83,13 +87,18 @@ def from_json(text: str) -> Element:
         raise ParseError(0, f"invalid JSON number: {exc}", BAD_NUMBER) from None
     if not isinstance(obj, dict) or set(obj) != {"terms"} or not isinstance(obj["terms"], list):
         raise ParseError(0, 'expected an object of the form {"terms": [...]}', UNEXPECTED_CHAR)
-    pairs = []
+    terms: dict[Word, float] = {}
     for entry in obj["terms"]:
         if not isinstance(entry, dict) or set(entry) != {"word", "coeff"}:
             raise ParseError(0, 'each term needs exactly "word" and "coeff"', UNEXPECTED_CHAR)
-        if not isinstance(entry["word"], list):
+        word = entry["word"]
+        if not isinstance(word, list):
             raise ParseError(0, '"word" must be a list of symbols', UNEXPECTED_CHAR)
-        word = tuple(_symbol_from_json(value) for value in entry["word"])
+        # the type guard keeps true from matching 1, and unhashable entries from the lookup
+        if not {int, str}.issuperset(map(type, word)) or not all(map(_FROM_JSON.__contains__, word)):
+            value = next(v for v in word if type(v) not in (int, str) or v not in _FROM_JSON)
+            raise ParseError(0, f"invalid symbol entry: {value!r}", BAD_NUMBER)
+        word = reduce_checked(map(_FROM_JSON.__getitem__, word))
         coeff = entry["coeff"]
         if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
             raise ParseError(0, f'"coeff" must be a number, got {coeff!r}', BAD_NUMBER)
@@ -99,26 +108,6 @@ def from_json(text: str) -> Element:
             value = math.inf
         if not math.isfinite(value):
             raise ParseError(0, '"coeff" must be a finite float', BAD_NUMBER)
-        pairs.append((word, value))
-    return Element(pairs)
+        terms[word] = terms.get(word, 0.0) + value
+    return Element._from_reduced(terms)
 
-
-def _symbol_to_json(sym: int):
-    if is_differential(sym):
-        return "d" + symbol_text(sym - DIFF_BASE)
-    return sym
-
-
-def _symbol_from_json(value) -> int:
-    if isinstance(value, bool):
-        raise ParseError(0, f"invalid symbol entry: {value!r}", BAD_NUMBER)
-    if isinstance(value, int):
-        if value == 0 or abs(value) > 26:
-            raise ParseError(0, f"symbol integer out of range: {value}", BAD_NUMBER)
-        return value
-    if isinstance(value, str) and value[:1] == "d":
-        try:
-            return differential(value[1:])
-        except ValueError:
-            pass
-    raise ParseError(0, f"invalid symbol entry: {value!r}", BAD_NUMBER)

@@ -15,12 +15,12 @@ once at import, maps every symbol code to its printed text and its
 collation rank; checking, printing, reading and sorting symbols and
 words are all lookups in it.
 
-Boundary rule: ``reduce_word`` validates every symbol and fully reduces,
-and runs once wherever outside data enters (``Element(...)``,
-``Element.from_word``, ``Element.coeff``, ``word_from_text``).  Internal
-joins such as ``join_reduced`` assume reduced input and cancel only at
-the seam, and the words they make go to ``Element._from_reduced``
-unchecked.
+Boundary rule: each input is checked once, where it enters, and then
+goes to ``reduce_checked``, the one unchecked stack pass: ``reduce_word``
+checks symbol codes (``Element(...)``), ``word_from_text`` letters text
+(``parse``) and ``textio.from_json`` JSON entries, each by lookups in the
+table.  Internal joins such as ``join_reduced`` assume reduced input and
+cancel only at the seam; their words go to ``Element._from_reduced``.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ def differential(x: str | int) -> int:
     return DIFF_BASE + letter_index(x)
 
 
-def is_differential(sym: int) -> bool:
-    return DIFF_BASE < sym <= DIFF_BASE + 26
-
-
 def base_letter(sym: int) -> int:
     """Letter index behind a symbol of any kind."""
     return abs(check_symbol(sym)) % DIFF_BASE
@@ -106,7 +102,15 @@ def word_text(word: Word) -> str:
 
 
 def reduce_word(symbols: Iterable[int]) -> Word:
-    """Validate and fully reduce a raw symbol sequence.
+    """Validate and fully reduce a raw symbol sequence."""
+    symbols = tuple(symbols)
+    for sym in symbols:
+        check_symbol(sym)
+    return reduce_checked(symbols)
+
+
+def reduce_checked(symbols: Iterable[int]) -> Word:
+    """Fully reduce a sequence of symbol codes that are already checked.
 
     Adjacent letter/inverse pairs cancel, and cancellation cascades:
     removing one pair may expose another.  Free-group reduction is
@@ -115,7 +119,6 @@ def reduce_word(symbols: Iterable[int]) -> Word:
     """
     out: list[int] = []
     for sym in symbols:
-        check_symbol(sym)
         # only a letter/inverse pair can be mutual negatives
         if out and out[-1] == -sym:
             out.pop()
@@ -139,8 +142,7 @@ def invert_word(word: Iterable[int]) -> Word:
     """Group inverse of a word: reverse it and invert every symbol."""
     out = []
     for sym in reversed(tuple(word)):
-        check_symbol(sym)
-        if is_differential(sym):
+        if check_symbol(sym) > DIFF_BASE:
             raise ValueError("differential tokens have no inverse")
         out.append(-sym)
     return tuple(out)
@@ -149,6 +151,6 @@ def invert_word(word: Iterable[int]) -> Word:
 def word_from_text(text: str) -> Word:
     """Read letters like ``"xxY"`` into a reduced word (no differentials)."""
     try:
-        return reduce_word([_CODE[ch] for ch in text])
+        return reduce_checked([_CODE[ch] for ch in text])
     except KeyError as exc:
         raise ValueError(f"not a generator letter: {exc.args[0]!r}") from None

@@ -21,6 +21,17 @@ def brute_reduce(symbols):
     return tuple(seq)
 
 
+def json_symbol(entry):
+    """Symbol code of a JSON word entry, or None when the entry is invalid:
+    an int (not a bool) in 1..26 or -26..-1, or "da".."dz"."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    if type(entry) is int and 1 <= abs(entry) <= 26:
+        return entry
+    if type(entry) is str and len(entry) == 2 and entry[0] == "d" and entry[1] in letters:
+        return 101 + letters.index(entry[1])
+    return None
+
+
 def naive_collation_key(word):
     """Word sort key from the printed ASCII of each symbol: uppercase
     inverses before lowercase letters, a differential token right after

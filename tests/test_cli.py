@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncpoly import Element, canonical_print, from_json, parse
+from ncpoly import Element, canonical_print, derivative, from_json, parse
 from ncpoly.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EVAL_ERROR,
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_USAGE_ERROR,
+    MAX_NESTING,
     SessionError,
     UnknownName,
     evaluate_expression,
@@ -276,6 +277,15 @@ def test_matcheck_unreadable_matrices_are_input_errors(tmp_path):
     result = run_cli("matcheck", "x", "x", "--matrices", str(binary))
     assert result.returncode == EXIT_PARSE_ERROR
     assert result.stderr.splitlines() == [result.stderr.strip()]
+    # so is a fixture whose bindings or diff_bindings is not an object
+    for fixture in ({"bindings": []}, {"bindings": {"x": _matrix(1)}, "diff_bindings": []},
+                    {"bindings": {"x": _matrix(1)}, "diff_bindings": "x"}):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(fixture))
+        result = run_cli("matcheck", "x", "x", "--matrices", str(path))
+        assert result.returncode == EXIT_PARSE_ERROR, fixture
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert result.stderr.startswith("error:")
 
 
 def test_parse_errors_exit_2():
@@ -366,6 +376,45 @@ def test_session_products_are_bounded():
     # the library's * is not bounded
     power = evaluate_expression("x^600000")
     assert (power * power).support() == [(24,) * 1_200_000]
+
+
+def test_session_deriv_and_subs_are_bounded():
+    stdout = io.StringIO()
+    script = "X = x^600000\nderiv(X, x)\nsubs(X, x=x+y)\nsubs(X, x=xx)\n[a, b]\n"
+    assert run_repl(io.StringIO(script), stdout) == EXIT_OK
+    refused = "error: {} could exceed the limit of 1000000 terms or symbols in all"
+    assert stdout.getvalue().splitlines() == [
+        refused.format("deriv"),
+        refused.format("subs"),
+        refused.format("subs"),
+        "+ 1*ab - 1*ba",
+    ]
+    # 1001 terms of 1001 symbols: refused by the session, not by the library
+    stdout = io.StringIO()
+    run_repl(io.StringIO("deriv(x^1001, x)\n"), stdout)
+    assert stdout.getvalue() == refused.format("deriv") + "\n"
+    assert len(derivative(evaluate_expression("x^1001"), "x")) == 1001
+
+
+@pytest.mark.parametrize("depth", [200, 5000])
+def test_session_nesting_is_bounded(depth):
+    lines = [
+        "(" * depth + "x" + ")" * depth,
+        "[x, " * depth + "y" + "]" * depth,
+        "deriv(" * depth + "x" + ", x)" * depth,
+    ]
+    # the opener of level MAX_NESTING + 1 is refused
+    for line, width in zip(lines, (1, 4, 6)):
+        with pytest.raises(ParseError) as excinfo:
+            evaluate_expression(line)
+        assert excinfo.value.position == MAX_NESTING * width
+    stdout = io.StringIO()
+    assert run_repl(io.StringIO("\n".join(lines) + "\n[a, b]\n"), stdout) == EXIT_OK
+    refused = f"error: expression nests deeper than {MAX_NESTING} levels"
+    out = stdout.getvalue().splitlines()
+    assert [line.startswith(refused) for line in out] == [True, True, True, False]
+    assert out[-1] == "+ 1*ab - 1*ba"
+    assert evaluate_expression("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == parse("x")
 
 
 def test_repl_subcommand_matches_default():

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ncpoly.words
 from ncpoly import Element, canonical_print, derivative, from_json, parse, to_json
 from ncpoly.parsing import BAD_NUMBER, UNEXPECTED_CHAR, ParseError
 from ncpoly.textio import format_coefficient
 from ncpoly.words import differential
+
+from oracles import json_symbol
 
 coeffs = st.integers(-9, 9)
 symbols = st.sampled_from([1, -1, 2, -2, differential("a"), differential("b")])
@@ -118,6 +121,47 @@ def test_from_json_rejects(text, kind):
     with pytest.raises(ParseError) as excinfo:
         from_json(text)
     assert excinfo.value.kind == kind
+
+
+json_entries = st.one_of(
+    st.integers(-28, 28),
+    st.sampled_from(["da", "dq", "dz"]),
+    st.sampled_from([10**20, True, False, None, 1.0, "d", "dA", "d1", "xx", "(da)", [1], {}]),
+)
+
+
+@given(st.lists(st.tuples(st.lists(json_entries, max_size=4), st.integers(-9, 9) | st.floats(-1e6, 1e6)), max_size=4))
+def test_from_json_reads_entries_through_the_symbol_table(terms):
+    text = json.dumps({"terms": [{"word": word, "coeff": coeff} for word, coeff in terms]})
+    bad = [entry for word, _ in terms for entry in word if json_symbol(entry) is None]
+    if not bad:
+        expected = Element(([json_symbol(entry) for entry in word], coeff) for word, coeff in terms)
+        assert from_json(text) == expected
+        return
+    with pytest.raises(ParseError) as excinfo:
+        from_json(text)
+    # the first invalid entry in document order is the one reported
+    assert (excinfo.value.kind, excinfo.value.position) == (BAD_NUMBER, 0)
+    assert excinfo.value.message == f"invalid symbol entry: {bad[0]!r}"
+
+
+def test_text_and_json_words_are_checked_by_their_own_lookup(monkeypatch):
+    """Only raw symbol codes go through ``check_symbol``; a second check
+    of text and JSON words would call it again."""
+
+    def refuse(sym):
+        raise AssertionError(f"check_symbol({sym!r}) called")
+
+    monkeypatch.setattr(ncpoly.words, "check_symbol", refuse)
+    element = parse("2xxY - 3yX + 1")
+    assert str(element) == "+ 1 + 2*xxY - 3*yX"
+    assert element.coeff("xxY") == 2.0 and element.coeff("xY") == 0.0
+    assert Element.from_word("xxY").support() == [(24, 24, -25)]
+    text = '{"terms":[{"word":[-25,"da",24],"coeff":1.5},{"word":[24,-24],"coeff":2}]}'
+    assert to_json(from_json(text)) == '{"terms":[{"word":[],"coeff":2},{"word":[-25,"da",24],"coeff":1.5}]}'
+    assert from_json(to_json(element)) == element
+    with pytest.raises(AssertionError, match="check_symbol"):
+        Element([((1, 2), 1.0)])
 
 
 def test_to_json_rejects_non_finite_coefficients():
