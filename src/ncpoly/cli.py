@@ -8,16 +8,16 @@ named bindings (``NAME = expr``).  It reads the tokens of
 the flat element syntax so their output matches the library printer
 exactly.
 
-The session refuses a ``*`` product or bracket, like a ``^`` power,
-that could pass ``element.POWER_LIMIT`` terms or symbols per word, a
-``deriv`` or ``subs`` whose result could pass it in terms or in symbols
-across all its words, and nesting deeper than ``MAX_NESTING``.
+A ``^`` power, a session ``*`` product or bracket and a session or batch
+``deriv`` or ``subs`` are refused when their result could pass
+``element.POWER_LIMIT`` terms or symbols in all; the session also refuses
+nesting deeper than ``MAX_NESTING``.
 
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 evaluation
 error (unbound generator, singular matrix, non-invertible replacement,
-non-finite coefficient or matrix entry), 4 usage error (including an
-unreadable ``--matrices`` file, a ``--dim`` below 1, a negative or
-non-finite ``--tol`` and ``rand`` sizes past ``POWER_LIMIT``).
+non-finite coefficient or matrix entry, a result past ``POWER_LIMIT``),
+4 usage error (including an unreadable ``--matrices`` file, a ``--dim``
+below 1, a negative or non-finite ``--tol`` and ``rand`` sizes past it).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 # calculus, matrixeval and randomgen load on first use, through the package
 import ncpoly
 
-from .element import POWER_LIMIT, Element, _bounded_product
+from .element import Element, _bounded_product, _check_size
 from .parsing import (
     BAD_NUMBER,
     EMPTY_TERM,
@@ -211,10 +211,7 @@ class _ExpressionParser:
             self.expect_op("=")
             pairs.append((letter, self.expression()))
         self.expect_op(")")
-        # the pairs apply one after another, each checked against the result so far
-        for letter, replacement in pairs:
-            argument = _bounded_substitution(argument, letter, replacement)
-        return argument
+        return _bounded_substitution(argument, pairs)
 
     def letter_argument(self) -> int:
         token = self.advance()
@@ -236,30 +233,28 @@ def _bounded_derivative(element: Element, letter: int) -> Element:
     return ncpoly.derivative(element, letter)
 
 
-def _bounded_substitution(element: Element, letter: int, replacement: Element) -> Element:
-    """One substitution pair, refused like ``_bounded_derivative``.
+def _bounded_substitution(element: Element, pairs: list[tuple[int, Element]]) -> Element:
+    """``substitute`` of (letter, replacement) pairs, one after another, each
+    refused like ``_bounded_derivative`` against the result so far.
 
     A word with k occurrences of the letter and m of its inverse becomes at
     most n**k terms, n being the replacement's term count, each at most
     len(word) + (k + m) * (longest - 1) symbols long, longest being the
     replacement's longest word.
     """
-    n = len(replacement)
-    longest = max(map(len, replacement.support()), default=0)
-    terms = symbols = 0
-    for word in element.support():
-        k, m = word.count(letter), word.count(-letter)
-        # n**20 is past the limit for any n above 1, so the exponent stops there
-        count = n ** min(k, 20)
-        terms += count
-        symbols += count * (len(word) + (k + m) * (longest - 1))
-    _check_size("subs", terms, symbols)
-    return ncpoly.substitute(element, [(letter, replacement)])
-
-
-def _check_size(function: str, terms: int, symbols: int) -> None:
-    if terms > POWER_LIMIT or symbols > POWER_LIMIT:
-        raise OverflowError(f"{function} could exceed the limit of {POWER_LIMIT} terms or symbols in all")
+    for letter, replacement in pairs:
+        n = len(replacement)
+        longest = max(map(len, replacement.support()), default=0)
+        terms = symbols = 0
+        for word in element.support():
+            k, m = word.count(letter), word.count(-letter)
+            # n**20 is past the limit for any n above 1, so the exponent stops there
+            count = n ** min(k, 20)
+            terms += count
+            symbols += count * (len(word) + (k + m) * (longest - 1))
+        _check_size("subs", terms, symbols)
+        element = ncpoly.substitute(element, [(letter, replacement)])
+    return element
 
 
 def evaluate_expression(text: str, session: dict | None = None) -> Element:
@@ -333,10 +328,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_deriv(args) -> int:
     try:
-        letter_index(args.letter)
+        letter = letter_index(args.letter)
     except ValueError:
         return _usage_error(f"LETTER must be a single lowercase letter, got {args.letter!r}")
-    print(canonical_print(ncpoly.derivative(parse(args.expr), args.letter)))
+    print(canonical_print(_bounded_derivative(parse(args.expr), letter)))
     return EXIT_OK
 
 
@@ -346,11 +341,12 @@ def _cmd_subs(args) -> int:
     pairs = []
     for target, replacement in zip(args.pairs[::2], args.pairs[1::2]):
         try:
-            letter_index(target)
+            letter = letter_index(target)
         except ValueError:
             return _usage_error(f"LETTER must be a single lowercase letter, got {target!r}")
-        pairs.append((target, parse(replacement)))
-    print(canonical_print(ncpoly.substitute(parse(args.expr), pairs)))
+        # outside the try: a ParseError is a ValueError, and exits 2, not 4
+        pairs.append((letter, parse(replacement)))
+    print(canonical_print(_bounded_substitution(parse(args.expr), pairs)))
     return EXIT_OK
 
 
@@ -492,6 +488,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     # the tuple is evaluated, and its modules loaded, only when an exception gets here
-    except (ncpoly.UnboundLetter, ncpoly.SingularMatrix, ncpoly.NonInvertibleReplacement, ncpoly.NonFiniteCoefficient) as exc:
+    except (OverflowError, ncpoly.UnboundLetter, ncpoly.SingularMatrix, ncpoly.NonInvertibleReplacement, ncpoly.NonFiniteCoefficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL_ERROR

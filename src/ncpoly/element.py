@@ -9,9 +9,14 @@ from numbers import Real
 from .words import DIFF_BASE, Word, join_reduced, reduce_word, word_from_text, word_sort_key
 
 
-# the most terms, and the most symbols in a word, that ``**`` may build;
+# the most terms, and the most symbols in all, that ``**`` may build;
 # ``*`` is unbounded, and ``_bounded_product`` applies the limit to one product
 POWER_LIMIT = 10**6
+
+
+def _check_size(what: str, terms: int, symbols: int) -> None:
+    if terms > POWER_LIMIT or symbols > POWER_LIMIT:
+        raise OverflowError(f"{what} could exceed the limit of {POWER_LIMIT} terms or symbols in all")
 
 
 class NonFiniteCoefficient(ArithmeticError, ValueError):
@@ -211,14 +216,13 @@ class Element:
 
 
 def _bounded_product(a: Element, b: Element) -> Element:
-    """``a * b``, refused when it could pass POWER_LIMIT terms or symbols per word.
+    """``a * b``, refused when it could pass POWER_LIMIT terms or symbols in all.
 
+    The symbols in all are at most ``len(b)*S(a) + len(a)*S(b)``, ``S`` summing word lengths.
     The bounds count the operands, so terms that collided or cancelled earlier do not.
     """
-    terms = len(a) * len(b)
-    symbols = max(map(len, a._terms), default=0) + max(map(len, b._terms), default=0)
-    if terms > POWER_LIMIT or symbols > POWER_LIMIT:
-        raise OverflowError(f"product could exceed the limit of {POWER_LIMIT} terms or symbols per word")
+    symbols = len(b) * sum(map(len, a._terms)) + len(a) * sum(map(len, b._terms))
+    _check_size("product", len(a) * len(b), symbols)
     return a * b
 
 

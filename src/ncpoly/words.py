@@ -69,11 +69,6 @@ def differential(x: str | int) -> int:
     return DIFF_BASE + letter_index(x)
 
 
-def base_letter(sym: int) -> int:
-    """Letter index behind a symbol of any kind."""
-    return abs(check_symbol(sym)) % DIFF_BASE
-
-
 def check_symbol(sym: int) -> int:
     if isinstance(sym, bool) or not isinstance(sym, int):
         raise TypeError(f"symbol must be an int code, got {sym!r}")
@@ -85,11 +80,6 @@ def check_symbol(sym: int) -> int:
 def symbol_text(sym: int) -> str:
     """Printed form: ``a``, uppercase ``A`` for the inverse, ``(da)`` for the differential."""
     return _TEXT[check_symbol(sym)]
-
-
-def symbol_sort_key(sym: int) -> int:
-    """Collation rank of a symbol: its position in the symbol table."""
-    return _RANK[check_symbol(sym)]
 
 
 def word_sort_key(word: Word) -> bytes:

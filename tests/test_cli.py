@@ -304,6 +304,17 @@ def test_noninvertible_substitution_exits_3():
     assert "not finite" in result.stderr
 
 
+def test_batch_expansion_past_the_limit_exits_3():
+    # 1,001 terms of 1,003 symbols, and 2**16 terms of 16 symbols
+    for args in (("deriv", "x" * 1001, "x"), ("subs", "x" * 16, "x", "x+y")):
+        result = run_cli(*args)
+        assert result.returncode == EXIT_EVAL_ERROR, args
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {args[0]} could exceed the limit of 1000000 terms or symbols in all"]
+    # a bad replacement is a parse error, not a bad letter
+    assert run_cli("subs", "x", "x", "1+").returncode == EXIT_PARSE_ERROR
+
+
 def test_usage_errors_exit_4():
     cases = [
         ("frobnicate",),
@@ -371,8 +382,13 @@ def test_repl_session_transcript():
 def test_session_products_are_bounded():
     stdout = io.StringIO()
     assert run_repl(io.StringIO("X = x^600000\nX*X\n[X, X]\n[a, b]\n"), stdout) == EXIT_OK
-    refused = "error: product could exceed the limit of 1000000 terms or symbols per word"
+    refused = "error: product could exceed the limit of 1000000 terms or symbols in all"
     assert stdout.getvalue().splitlines() == [refused, refused, "+ 1*ab - 1*ba"]
+    # the sizes of the operands in all count, not their longest words:
+    # AA*AA would be 262,144 terms of 1,998 symbols
+    stdout = io.StringIO()
+    run_repl(io.StringIO("AA = (x+y)^9 * x^990\nAA*AA\n[a, b]\n"), stdout)
+    assert stdout.getvalue().splitlines() == [refused, "+ 1*ab - 1*ba"]
     # the library's * is not bounded
     power = evaluate_expression("x^600000")
     assert (power * power).support() == [(24,) * 1_200_000]

@@ -113,8 +113,11 @@ def test_pow():
     binomial = parse("1+x") ** 30
     assert len(binomial) == 31 and binomial.coeff("x" * 15) == 155117520
     assert len(parse("x+X") ** 30) == 31
+    # the symbols in all count: (x+y)**15 ends with (x+y)**7 times (x+y)**8, bounded
+    # by 491,520 symbols; (x+y)**16 squares (x+y)**8, bounded by 1,048,576
+    assert len(parse("x+y") ** 15) == 32768
     # a runaway power is refused before it expands
-    for base, n in ((parse("x+y"), 40), (parse("x"), 10**9), (parse("x+y"), 10**100)):
+    for base, n in ((parse("x+y"), 16), (parse("x+y"), 40), (parse("x"), 10**9), (parse("x+y"), 10**100)):
         with pytest.raises(OverflowError, match=str(POWER_LIMIT)):
             base ** n
 
