@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .element import Element, _coerce
 from .parsing import parse
-from .words import DIFF_BASE, Word, invert_word, join_reduced, letter_index
+from .words import DIFF_BASE, encode_word, invert_stored, join_reduced, letter_index
 
 
 class NonInvertibleReplacement(ValueError):
@@ -46,20 +46,16 @@ def derivative(element: Element, letter: str | int) -> Element:
     present are inert constants, and so is every other letter.
     """
     target = letter_index(letter)
-    token = DIFF_BASE + target
-    out: dict[Word, float] = {}
-    for word, coeff in element.terms():
-        for i, sym in enumerate(word):
-            # still reduced: neither replacement puts a letter next to its inverse
-            if sym == target:
-                new = word[:i] + (token,) + word[i + 1:]
-                delta = coeff
-            elif sym == -target:
-                new = word[:i] + (-target, token, -target) + word[i + 1:]
-                delta = -coeff
-            else:
-                continue
-            out[new] = out.get(new, 0.0) + delta
+    up, down, token = encode_word((target, -target, DIFF_BASE + target))
+    # still reduced: neither replacement puts a letter next to its inverse
+    images = {up: (bytes((token,)), 1.0), down: (bytes((down, token, down)), -1.0)}
+    out: dict[bytes, float] = {}
+    for word, coeff in element._sorted():
+        for i, rank in enumerate(word):
+            if rank in images:
+                image, sign = images[rank]
+                new = word[:i] + image + word[i + 1:]
+                out[new] = out.get(new, 0.0) + sign * coeff
     return Element._from_reduced(out)
 
 
@@ -71,19 +67,20 @@ def _as_element(value) -> Element:
 
 
 def _substitute_one(element: Element, target: int, replacement: Element) -> Element:
-    images = {target: replacement}
-    out: dict[Word, float] = {}
-    for word, coeff in element.terms():
-        acc = {(): coeff}
+    up, down = encode_word((target, -target))
+    images = {up: replacement}
+    out: dict[bytes, float] = {}
+    for word, coeff in element._sorted():
+        acc = {b"": coeff}
         start = 0
-        for i, sym in enumerate(word):
-            if sym == target or sym == -target:
+        for i, rank in enumerate(word):
+            if rank == up or rank == down:
                 # joining one run onto distinct reduced words keeps them distinct
                 run = word[start:i]
                 acc = {join_reduced(w, run): c for w, c in acc.items()}
-                if sym not in images:
-                    images[sym] = _inverted(replacement)
-                acc = (Element._from_reduced(acc) * images[sym])._terms
+                if rank not in images:
+                    images[rank] = _inverted(replacement)
+                acc = (Element._from_reduced(acc) * images[rank])._terms
                 start = i + 1
         run = word[start:]
         for w, c in acc.items():
@@ -93,14 +90,13 @@ def _substitute_one(element: Element, target: int, replacement: Element) -> Elem
 
 
 def _inverted(replacement: Element) -> Element:
-    terms = replacement.terms()
-    if len(terms) != 1:
+    if len(replacement) != 1:
         raise NonInvertibleReplacement(
             "replacement for an inverted letter must be a single nonzero term"
         )
-    ((word, coeff),) = terms
+    ((word, coeff),) = replacement._terms.items()
     try:
-        inverted = invert_word(word)
+        inverted = invert_stored(word)
     except ValueError:
         raise NonInvertibleReplacement(
             "replacement word contains a differential token and cannot be inverted"

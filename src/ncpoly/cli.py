@@ -30,7 +30,7 @@ import sys
 # calculus, matrixeval and randomgen load on first use, through the package
 import ncpoly
 
-from .element import Element, _bounded_product, _check_size
+from .element import Element, _bounded_product, _check_product, _check_size
 from .parsing import (
     BAD_NUMBER,
     EMPTY_TERM,
@@ -42,7 +42,7 @@ from .parsing import (
     tokenize,
 )
 from .textio import canonical_print, to_json
-from .words import letter_index
+from .words import encode_word, letter_index
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -224,9 +224,10 @@ class _ExpressionParser:
 
 def _bounded_derivative(element: Element, letter: int) -> Element:
     """``derivative``, refused when its terms or their symbols in all could pass POWER_LIMIT."""
+    up, down = encode_word((letter, -letter))
     terms = symbols = 0
-    for word in element.support():
-        hits = word.count(letter) + word.count(-letter)
+    for word in element._terms:
+        hits = word.count(up) + word.count(down)
         terms += hits
         symbols += hits * (len(word) + 2)
     _check_size("deriv", terms, symbols)
@@ -243,11 +244,12 @@ def _bounded_substitution(element: Element, pairs: list[tuple[int, Element]]) ->
     replacement's longest word.
     """
     for letter, replacement in pairs:
+        up, down = encode_word((letter, -letter))
         n = len(replacement)
-        longest = max(map(len, replacement.support()), default=0)
+        longest = max(map(len, replacement._terms), default=0)
         terms = symbols = 0
-        for word in element.support():
-            k, m = word.count(letter), word.count(-letter)
+        for word in element._terms:
+            k, m = word.count(up), word.count(down)
             # n**20 is past the limit for any n above 1, so the exponent stops there
             count = n ** min(k, 20)
             terms += count
@@ -321,8 +323,17 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE_ERROR
 
 
+def _parse(text: str) -> Element:
+    """``parse`` of a batch argument; a ParseError carries the argument, for ``main``'s caret."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        exc.argument = text
+        raise
+
+
 def _cmd_eval(args) -> int:
-    print(canonical_print(parse(args.expr)))
+    print(canonical_print(_parse(args.expr)))
     return EXIT_OK
 
 
@@ -331,7 +342,7 @@ def _cmd_deriv(args) -> int:
         letter = letter_index(args.letter)
     except ValueError:
         return _usage_error(f"LETTER must be a single lowercase letter, got {args.letter!r}")
-    print(canonical_print(_bounded_derivative(parse(args.expr), letter)))
+    print(canonical_print(_bounded_derivative(_parse(args.expr), letter)))
     return EXIT_OK
 
 
@@ -345,8 +356,8 @@ def _cmd_subs(args) -> int:
         except ValueError:
             return _usage_error(f"LETTER must be a single lowercase letter, got {target!r}")
         # outside the try: a ParseError is a ValueError, and exits 2, not 4
-        pairs.append((letter, parse(replacement)))
-    print(canonical_print(_bounded_substitution(parse(args.expr), pairs)))
+        pairs.append((letter, _parse(replacement)))
+    print(canonical_print(_bounded_substitution(_parse(args.expr), pairs)))
     return EXIT_OK
 
 
@@ -367,7 +378,7 @@ def _cmd_rand(args) -> int:
 
 
 def _cmd_json(args) -> int:
-    print(to_json(parse(args.expr)))
+    print(to_json(_parse(args.expr)))
     return EXIT_OK
 
 
@@ -376,8 +387,8 @@ def _cmd_matcheck(args) -> int:
         return _usage_error(f"--dim must be at least 1, got {args.dim}")
     if not 0 <= args.tol < math.inf:
         return _usage_error(f"--tol must be finite and not negative, got {args.tol}")
-    a = parse(args.expr_a)
-    b = parse(args.expr_b)
+    a = _parse(args.expr_a)
+    b = _parse(args.expr_b)
     if args.matrices is not None:
         try:
             assignment = _load_assignment(args.matrices, args.dim)
@@ -388,6 +399,7 @@ def _cmd_matcheck(args) -> int:
             return _usage_error("either --seed or --matrices is required")
         letters = sorted(a.letters() | b.letters())
         assignment = ncpoly.random_assignment(letters, 5 if args.dim is None else args.dim, args.seed)
+    _check_product(a, b)
     report = ncpoly.homomorphism_check(a, b, assignment, args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max_abs={report.max_abs_residual:.3e} max_rel={report.max_rel_residual:.3e}")
@@ -486,6 +498,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if hasattr(exc, "argument"):
+            print(exc.argument, " " * exc.position + "^", sep="\n", file=sys.stderr)
         return EXIT_PARSE_ERROR
     # the tuple is evaluated, and its modules loaded, only when an exception gets here
     except (OverflowError, ncpoly.UnboundLetter, ncpoly.SingularMatrix, ncpoly.NonInvertibleReplacement, ncpoly.NonFiniteCoefficient) as exc:

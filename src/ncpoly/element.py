@@ -6,11 +6,11 @@ import math
 from collections.abc import Iterable, Mapping
 from numbers import Real
 
-from .words import DIFF_BASE, Word, join_reduced, reduce_word, word_from_text, word_sort_key
+from .words import DIFF_BASE, SYMBOLS, decode_word, encode_word, join_reduced, reduce_checked, text_word
 
 
 # the most terms, and the most symbols in all, that ``**`` may build;
-# ``*`` is unbounded, and ``_bounded_product`` applies the limit to one product
+# ``*`` is unbounded, and ``_check_product`` applies the limit to one product
 POWER_LIMIT = 10**6
 
 
@@ -19,11 +19,21 @@ def _check_size(what: str, terms: int, symbols: int) -> None:
         raise OverflowError(f"{what} could exceed the limit of {POWER_LIMIT} terms or symbols in all")
 
 
+def _check_product(a: Element, b: Element) -> None:
+    """Refuse ``a * b`` when it could pass POWER_LIMIT terms or symbols in all.
+
+    The symbols in all are at most ``len(b)*S(a) + len(a)*S(b)``, ``S`` summing word lengths.
+    The bounds count the operands, so terms that collided or cancelled earlier do not.
+    """
+    symbols = len(b) * sum(map(len, a._terms)) + len(a) * sum(map(len, b._terms))
+    _check_size("product", len(a) * len(b), symbols)
+
+
 class NonFiniteCoefficient(ArithmeticError, ValueError):
     """A coefficient or matrix entry is infinite or NaN, given so or reached by arithmetic."""
 
 
-def _normal(data: dict[Word, float]) -> dict[Word, float]:
+def _normal(data: dict[bytes, float]) -> dict[bytes, float]:
     """The stored form of every element: summed terms, zero and ``-0.0`` dropped.
 
     The one place that enforces the invariant; raises NonFiniteCoefficient
@@ -59,16 +69,16 @@ class Element:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable | None = None):
-        data: dict[Word, float] = {}
+        data: dict[bytes, float] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for word, coeff in items:
-                word = reduce_word(word)
+                word = reduce_checked(encode_word(word))
                 data[word] = data.get(word, 0.0) + float(coeff)
         self._terms = _normal(data)
 
     @classmethod
-    def _from_reduced(cls, data: dict[Word, float]) -> "Element":
+    def _from_reduced(cls, data: dict[bytes, float]) -> "Element":
         """Internal constructor from summed terms whose words are already reduced.
 
         Skips word validation; zero coefficients may remain and are dropped.
@@ -83,11 +93,11 @@ class Element:
 
     @classmethod
     def one(cls) -> "Element":
-        return cls._from_reduced({(): 1.0})
+        return cls._from_reduced({b"": 1.0})
 
     @classmethod
     def constant(cls, value: float) -> "Element":
-        return cls._from_reduced({(): float(value)})
+        return cls._from_reduced({b"": float(value)})
 
     @classmethod
     def from_word(cls, word, coeff: float = 1.0) -> "Element":
@@ -97,13 +107,17 @@ class Element:
     # ------------------------------------------------------------------
     # queries
 
-    def terms(self) -> list[tuple[Word, float]]:
+    def terms(self) -> list[tuple[tuple[int, ...], float]]:
         """Term list ``(word, coeff)`` in canonical print order."""
-        return sorted(self._terms.items(), key=lambda item: word_sort_key(item[0]))
+        return [(decode_word(word), coeff) for word, coeff in self._sorted()]
 
-    def support(self) -> list[Word]:
+    def support(self) -> list[tuple[int, ...]]:
         """The words carrying nonzero coefficients, in print order."""
-        return sorted(self._terms, key=word_sort_key)
+        return list(map(decode_word, sorted(self._terms)))
+
+    def _sorted(self) -> list[tuple[bytes, float]]:
+        """The stored terms, words as ``bytes``, in print order, for the library's own modules."""
+        return sorted(self._terms.items())
 
     def coeff(self, word) -> float:
         """Coefficient of a word, 0.0 when absent; accepts letters text."""
@@ -111,11 +125,11 @@ class Element:
 
     @property
     def constant_term(self) -> float:
-        return self._terms.get((), 0.0)
+        return self._terms.get(b"", 0.0)
 
     def letters(self) -> set[int]:
         """Letter indices used anywhere (inverses and differentials included)."""
-        return {abs(sym) % DIFF_BASE for word in self._terms for sym in word}
+        return {abs(SYMBOLS[rank]) % DIFF_BASE for rank in set(b"".join(self._terms))}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -127,12 +141,12 @@ class Element:
         if isinstance(other, Element):
             return self._terms == other._terms
         if isinstance(other, Real) and not isinstance(other, bool):
-            return self._terms.keys() <= {()} and self.constant_term == float(other)
+            return self._terms.keys() <= {b""} and self.constant_term == float(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         # a constant equals the plain number, so it must hash like one
-        if self._terms.keys() <= {()}:
+        if self._terms.keys() <= {b""}:
             return hash(self.constant_term)
         return hash(frozenset(self._terms.items()))
 
@@ -172,12 +186,12 @@ class Element:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        data: dict[Word, float] = {}
+        data: dict[bytes, float] = {}
         left, right = self._terms.items(), other._terms.items()
         # a one-term operand gives distinct products; otherwise visit terms in
-        # word order, so collisions are summed in an order fixed by the values
+        # collation order, so collisions are summed in an order fixed by the values
         if len(left) > 1 and len(right) > 1:
-            left, right = sorted(left), sorted(right)
+            left, right = self._sorted(), other._sorted()
         for w1, c1 in left:
             for w2, c2 in right:
                 word = join_reduced(w1, w2)
@@ -216,19 +230,14 @@ class Element:
 
 
 def _bounded_product(a: Element, b: Element) -> Element:
-    """``a * b``, refused when it could pass POWER_LIMIT terms or symbols in all.
-
-    The symbols in all are at most ``len(b)*S(a) + len(a)*S(b)``, ``S`` summing word lengths.
-    The bounds count the operands, so terms that collided or cancelled earlier do not.
-    """
-    symbols = len(b) * sum(map(len, a._terms)) + len(a) * sum(map(len, b._terms))
-    _check_size("product", len(a) * len(b), symbols)
+    """``a * b``, refused by ``_check_product``."""
+    _check_product(a, b)
     return a * b
 
 
-def _word_argument(word) -> Word:
-    """A public word argument, letters text or a symbol sequence, as a reduced word."""
-    return word_from_text(word) if isinstance(word, str) else reduce_word(word)
+def _word_argument(word) -> bytes:
+    """A public word argument, letters text or a symbol sequence, as a reduced stored word."""
+    return text_word(word) if isinstance(word, str) else reduce_checked(encode_word(word))
 
 
 def _coerce(value):

@@ -14,10 +14,11 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from operator import mul
+from os.path import commonprefix
 
 from .element import Element, NonFiniteCoefficient
 from .randomgen import SplitMix64
-from .words import DIFF_BASE, letter_index, symbol_text
+from .words import DIFF_BASE, SYMBOLS, letter_index, symbol_text
 
 SINGULAR_PIVOT_RTOL = 1e-12
 
@@ -193,18 +194,14 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
     total = [[0.0] * dim for _ in range(dim)]
     images: dict[int, tuple] = {}
     prefix: list[tuple] = []  # prefix[k]: product of the first k+1 symbols of prev
-    prev: tuple = ()
-    for word, coeff in element.terms():
-        shared = 0
-        for s, t in zip(word, prev):
-            if s != t:
-                break
-            shared += 1
+    prev = b""
+    for word, coeff in element._sorted():
+        shared = len(commonprefix((word, prev)))
         del prefix[shared:]
-        for sym in word[shared:]:
-            if sym not in images:
-                images[sym] = _image(sym, assignment)
-            prefix.append(_matmul(prefix[-1], images[sym]) if prefix else images[sym])
+        for rank in word[shared:]:
+            if rank not in images:
+                images[rank] = _image(SYMBOLS[rank], assignment)
+            prefix.append(_matmul(prefix[-1], images[rank]) if prefix else images[rank])
         product = prefix[-1] if word else identity
         prev = word
         for row, prow in zip(total, product):

@@ -36,7 +36,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .element import Element
-from .words import Word, word_from_text
+from .words import text_word
 
 UNEXPECTED_CHAR = "UnexpectedChar"
 BAD_NUMBER = "BadNumber"
@@ -112,7 +112,7 @@ def parse(text: str) -> Element:
     sign = _SIGNS.get(token.text, 1.0)
     if token.text in _SIGNS:
         token = next(tokens)
-    terms: dict[Word, float] = {}
+    terms: dict[bytes, float] = {}
     while True:
         coeff = sign
         if token.kind == "num":
@@ -124,11 +124,11 @@ def parse(text: str) -> Element:
                     raise ParseError(token.start, "expected generator letters after '*'", EMPTY_TERM)
         elif not _is_letters(token):
             raise _term_error(token)
-        word = ()
+        word = b""
         if _is_letters(token):
             word = _word(token)
             token = next(tokens)
-        # words from word_from_text are reduced already: collect like terms here
+        # words from text_word are reduced already: collect like terms here
         terms[word] = terms.get(word, 0.0) + coeff
         if token.kind == "end":
             return Element._from_reduced(terms)
@@ -145,14 +145,14 @@ def _is_letters(token: Token) -> bool:
     return token.kind == "name" and token.text[0] != "_"
 
 
-def _word(token: Token) -> Word:
+def _word(token: Token) -> bytes:
     """The word of a name token that must be letters only."""
     text = token.text
     if not text.isalpha():
         # a digit or "_" ends the letters, and so the term
         n = next(i for i, ch in enumerate(text) if not ch.isalpha())
         raise _after_term_error(token.start + n, text[n])
-    return word_from_text(text)
+    return text_word(text)
 
 
 def _term_error(token: Token) -> ParseError:

@@ -1,10 +1,8 @@
 """Canonical printing and the JSON interchange format.
 
-Both renderings use one fixed total order so equal elements always
-produce identical text: words compare lexicographically by the ASCII of
-their printed symbols (uppercase inverses before lowercase letters, a
-prefix before its extensions), with each differential token placed
-immediately after its own letter.
+Both renderings list terms in the one collation order of
+``ncpoly.words``, in which a stored word is its own sort key, so equal
+elements always produce identical text.
 """
 
 from __future__ import annotations
@@ -14,11 +12,11 @@ import math
 
 from .element import Element
 from .parsing import BAD_NUMBER, UNEXPECTED_CHAR, ParseError
-from .words import _TEXT, Word, reduce_checked, word_text
+from .words import _RANK_TEXT, SYMBOLS, reduce_checked, word_text
 
-# a JSON word entry is the signed letter index, or "da".."dz" for a differential token
-_TO_JSON = {sym: text[1:-1] if text[0] == "(" else sym for sym, text in _TEXT.items()}
-_FROM_JSON = {entry: sym for sym, entry in _TO_JSON.items()}
+# a JSON word entry, by rank: the signed letter index, or "da".."dz" for a differential token
+_TO_JSON = tuple(text[1:-1] if text[0] == "(" else sym for sym, text in zip(SYMBOLS, _RANK_TEXT))
+_FROM_JSON = {entry: rank for rank, entry in enumerate(_TO_JSON)}
 
 
 def format_coefficient(value: float) -> str:
@@ -43,7 +41,7 @@ def canonical_print(element: Element) -> str:
     coefficient, ``*`` and the word's letters.  The ``*word`` part is
     dropped for the empty word, e.g. ``+ 3 + 5*X - 2*Xyx``.
     """
-    terms = element.terms()
+    terms = element._sorted()
     if not terms:
         return "0"
     parts = []
@@ -68,7 +66,7 @@ def to_json(element: Element) -> str:
             "word": list(map(_TO_JSON.__getitem__, word)),
             "coeff": int(coeff) if coeff.is_integer() else coeff,
         }
-        for word, coeff in element.terms()
+        for word, coeff in element._sorted()
     ]
     return json.dumps({"terms": terms}, separators=(",", ":"), allow_nan=False)
 
@@ -87,7 +85,7 @@ def from_json(text: str) -> Element:
         raise ParseError(0, f"invalid JSON number: {exc}", BAD_NUMBER) from None
     if not isinstance(obj, dict) or set(obj) != {"terms"} or not isinstance(obj["terms"], list):
         raise ParseError(0, 'expected an object of the form {"terms": [...]}', UNEXPECTED_CHAR)
-    terms: dict[Word, float] = {}
+    terms: dict[bytes, float] = {}
     for entry in obj["terms"]:
         if not isinstance(entry, dict) or set(entry) != {"word", "coeff"}:
             raise ParseError(0, 'each term needs exactly "word" and "coeff"', UNEXPECTED_CHAR)
@@ -98,7 +96,7 @@ def from_json(text: str) -> Element:
         if not {int, str}.issuperset(map(type, word)) or not all(map(_FROM_JSON.__contains__, word)):
             value = next(v for v in word if type(v) not in (int, str) or v not in _FROM_JSON)
             raise ParseError(0, f"invalid symbol entry: {value!r}", BAD_NUMBER)
-        word = reduce_checked(map(_FROM_JSON.__getitem__, word))
+        word = reduce_checked(bytes(map(_FROM_JSON.__getitem__, word)))
         coeff = entry["coeff"]
         if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
             raise ParseError(0, f'"coeff" must be a number, got {coeff!r}', BAD_NUMBER)

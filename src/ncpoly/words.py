@@ -6,18 +6,21 @@ A symbol is a plain ``int``:
 * ``-1 .. -26``   their group inverses, printed as uppercase A..Z
 * ``101 .. 126``  differential tokens, printed ``(da)`` .. ``(dz)``
 
-A word is a tuple of symbols and is kept *reduced*: a letter never sits
-next to its own inverse.  Differential tokens are inert; they cancel
-with nothing and have no inverse.
+A word is a tuple of symbols in the public API and is kept *reduced*: a
+letter never sits next to its own inverse.  Differential tokens are
+inert; they cancel with nothing and have no inverse.
 
-This module is the one place that knows the alphabet.  One table, built
-once at import, maps every symbol code to its printed text and its
-collation rank; checking, printing, reading and sorting symbols and
-words are all lookups in it.
+This module is the one place that knows the alphabet and how words are
+stored.  One table, built once at import, gives every symbol its printed
+text and its collation rank (0..77).  An ``Element`` stores each word as
+``bytes`` of ranks, one byte per symbol, so native ``bytes`` order is
+the print order and a stored word is its own sort key.  Other modules
+look ranks up through ``encode_word`` and the tables ``SYMBOLS`` and
+``_RANK_TEXT``, and never decode a stored word.
 
 Boundary rule: each input is checked once, where it enters, and then
-goes to ``reduce_checked``, the one unchecked stack pass: ``reduce_word``
-checks symbol codes (``Element(...)``), ``word_from_text`` letters text
+goes to ``reduce_checked``, the one unchecked stack pass: ``encode_word``
+checks symbol codes (``Element(...)``), ``text_word`` letters text
 (``parse``) and ``textio.from_json`` JSON entries, each by lookups in the
 table.  Internal joins such as ``join_reduced`` assume reduced input and
 cancel only at the seam; their words go to ``Element._from_reduced``.
@@ -29,8 +32,6 @@ from collections.abc import Iterable
 
 DIFF_BASE = 100
 
-Word = tuple
-
 # The symbol table, inserted in collation order: ASCII of the printed
 # letter, so uppercase inverses come first, with each differential token
 # immediately after its own letter.
@@ -38,8 +39,17 @@ _TEXT: dict[int, str] = {-i: ch for i, ch in enumerate("ABCDEFGHIJKLMNOPQRSTUVWX
 for _i, _ch in enumerate("abcdefghijklmnopqrstuvwxyz", 1):
     _TEXT[_i] = _ch
     _TEXT[DIFF_BASE + _i] = f"(d{_ch})"
-_RANK: dict[int, int] = {sym: rank for rank, sym in enumerate(_TEXT)}
 _CODE: dict[str, int] = {text: sym for sym, text in _TEXT.items() if sym < DIFF_BASE}
+
+# the symbol code of each rank, and the rank of each symbol code
+SYMBOLS: tuple[int, ...] = tuple(_TEXT)
+_RANK: dict[int, int] = {sym: rank for rank, sym in enumerate(SYMBOLS)}
+# by rank: the printed text (a str.translate table), and the rank of the
+# inverse letter, 255 (no rank) for a differential token (a bytes.translate table)
+_RANK_TEXT = tuple(_TEXT.values())
+_INVERSE = bytes(_RANK.get(-sym, 255) for sym in SYMBOLS).ljust(256, b"\xff")
+# by ASCII code: the rank of a letter, 255 for any other character
+_LETTER_RANK = bytes(_RANK[_CODE[ch]] if ch in _CODE else 255 for ch in map(chr, range(256)))
 
 
 def letter_index(letter: str | int) -> int:
@@ -70,37 +80,44 @@ def differential(x: str | int) -> int:
 
 
 def check_symbol(sym: int) -> int:
-    if isinstance(sym, bool) or not isinstance(sym, int):
+    """Check one raw symbol code and give its collation rank."""
+    if type(sym) is not int and (isinstance(sym, bool) or not isinstance(sym, int)):
         raise TypeError(f"symbol must be an int code, got {sym!r}")
-    if sym not in _TEXT:
-        raise ValueError(f"invalid symbol code: {sym}")
-    return sym
+    try:
+        return _RANK[sym]
+    except KeyError:
+        raise ValueError(f"invalid symbol code: {sym}") from None
 
 
 def symbol_text(sym: int) -> str:
     """Printed form: ``a``, uppercase ``A`` for the inverse, ``(da)`` for the differential."""
-    return _TEXT[check_symbol(sym)]
+    return _RANK_TEXT[check_symbol(sym)]
 
 
-def word_sort_key(word: Word) -> bytes:
-    """Lexicographic word key; a proper prefix sorts before its extensions."""
-    return bytes(map(_RANK.__getitem__, word))
+def encode_word(symbols: Iterable[int]) -> bytes:
+    """Check raw symbol codes and give them as a stored word, not yet reduced."""
+    return bytes(map(check_symbol, symbols))
 
 
-def word_text(word: Word) -> str:
-    return "".join(map(_TEXT.__getitem__, word))
+word_sort_key = encode_word  # a stored word is its own sort key; a prefix sorts first
 
 
-def reduce_word(symbols: Iterable[int]) -> Word:
+def decode_word(word: bytes) -> tuple[int, ...]:
+    """The public form of a stored word: its tuple of symbol codes."""
+    return tuple(map(SYMBOLS.__getitem__, word))
+
+
+def word_text(word: bytes) -> str:
+    return word.decode("latin-1").translate(_RANK_TEXT)
+
+
+def reduce_word(symbols: Iterable[int]) -> tuple[int, ...]:
     """Validate and fully reduce a raw symbol sequence."""
-    symbols = tuple(symbols)
-    for sym in symbols:
-        check_symbol(sym)
-    return reduce_checked(symbols)
+    return decode_word(reduce_checked(encode_word(symbols)))
 
 
-def reduce_checked(symbols: Iterable[int]) -> Word:
-    """Fully reduce a sequence of symbol codes that are already checked.
+def reduce_checked(word: bytes) -> bytes:
+    """Fully reduce a stored word whose ranks are already checked.
 
     Adjacent letter/inverse pairs cancel, and cancellation cascades:
     removing one pair may expose another.  Free-group reduction is
@@ -108,39 +125,47 @@ def reduce_checked(symbols: Iterable[int]) -> Word:
     reduced word regardless of the order pairs are removed in.
     """
     out: list[int] = []
-    for sym in symbols:
-        # only a letter/inverse pair can be mutual negatives
-        if out and out[-1] == -sym:
+    for rank in word:
+        if out and out[-1] == _INVERSE[rank]:
             out.pop()
         else:
-            out.append(sym)
-    return tuple(out)
+            out.append(rank)
+    return bytes(out)
 
 
-def join_reduced(left: Word, right: Word) -> Word:
-    """Product of two reduced words: only pairs across the seam can cancel."""
-    if not left or not right or left[-1] != -right[0]:
+def join_reduced(left: bytes, right: bytes) -> bytes:
+    """Product of two reduced stored words: only pairs across the seam can cancel."""
+    if not left or not right or left[-1] != _INVERSE[right[0]]:
         return left + right
     k = 1
     n = min(len(left), len(right))
-    while k < n and left[-1 - k] == -right[k]:
+    while k < n and left[-1 - k] == _INVERSE[right[k]]:
         k += 1
     return left[:-k] + right[k:]
 
 
-def invert_word(word: Iterable[int]) -> Word:
+def invert_stored(word: bytes) -> bytes:
+    """Group inverse of a stored word: reverse it and invert every symbol."""
+    inverted = word[::-1].translate(_INVERSE)
+    if 255 in inverted:
+        raise ValueError("differential tokens have no inverse")
+    return inverted
+
+
+def invert_word(word: Iterable[int]) -> tuple[int, ...]:
     """Group inverse of a word: reverse it and invert every symbol."""
-    out = []
-    for sym in reversed(tuple(word)):
-        if check_symbol(sym) > DIFF_BASE:
-            raise ValueError("differential tokens have no inverse")
-        out.append(-sym)
-    return tuple(out)
+    return decode_word(invert_stored(encode_word(word)))
 
 
-def word_from_text(text: str) -> Word:
+def text_word(text: str) -> bytes:
+    """Read letters like ``"xxY"`` into a reduced stored word (no differentials)."""
+    # every character that is not an ASCII letter, "?" included, becomes 255
+    ranks = text.encode("ascii", "replace").translate(_LETTER_RANK)
+    if 255 in ranks:
+        raise ValueError(f"not a generator letter: {text[ranks.index(255)]!r}")
+    return reduce_checked(ranks)
+
+
+def word_from_text(text: str) -> tuple[int, ...]:
     """Read letters like ``"xxY"`` into a reduced word (no differentials)."""
-    try:
-        return reduce_checked([_CODE[ch] for ch in text])
-    except KeyError as exc:
-        raise ValueError(f"not a generator letter: {exc.args[0]!r}") from None
+    return decode_word(text_word(text))

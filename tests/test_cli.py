@@ -295,6 +295,20 @@ def test_parse_errors_exit_2():
         assert "position" in result.stderr
 
 
+def test_batch_parse_errors_show_a_caret():
+    # stderr holds the error, the offending argument and a caret under its position
+    for args, argument, position in (
+        (("eval", "2x + 3?y"), "2x + 3?y", 6),
+        (("subs", "xy", "x", "1+"), "1+", 2),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == EXIT_PARSE_ERROR, args
+        assert result.stdout == ""
+        error, shown, caret = result.stderr.splitlines()
+        assert error.startswith("error: ") and error.endswith(f"(at position {position})")
+        assert (shown, caret) == (argument, " " * position + "^")
+
+
 def test_noninvertible_substitution_exits_3():
     result = run_cli("subs", "X", "x", "1+y")
     assert result.returncode == EXIT_EVAL_ERROR
@@ -313,6 +327,16 @@ def test_batch_expansion_past_the_limit_exits_3():
         assert result.stderr.splitlines() == [f"error: {args[0]} could exceed the limit of 1000000 terms or symbols in all"]
     # a bad replacement is a parse error, not a bad letter
     assert run_cli("subs", "x", "x", "1+").returncode == EXIT_PARSE_ERROR
+
+
+def test_matcheck_product_past_the_limit_exits_3():
+    # 1,001 distinct terms in each argument make 1,002,001 pairs, refused before any evaluation
+    words = [format(i, "010b").translate(str.maketrans("01", "xy")) for i in range(1001)]
+    argument = " + ".join(words)
+    result = run_cli("matcheck", argument, argument, "--seed", "1")
+    assert result.returncode == EXIT_EVAL_ERROR
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: product could exceed the limit of 1000000 terms or symbols in all"]
 
 
 def test_usage_errors_exit_4():

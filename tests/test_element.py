@@ -6,7 +6,7 @@ from ncpoly import Element, NonFiniteCoefficient, commutator, derivative, from_j
 from ncpoly.element import POWER_LIMIT
 from ncpoly.words import word_from_text
 
-from oracles import assert_normalized
+from oracles import assert_normalized, brute_reduce, naive_collation_key
 
 coeffs = st.integers(-9, 9)
 symbols = st.sampled_from([1, -1, 2, -2, 3])
@@ -236,3 +236,24 @@ def test_equal_inputs_give_equal_products(a, c, rng):
     assert a * c == b * c
     assert c * a == c * b
     assert a**3 == b**3
+
+
+any_symbols = st.one_of(st.integers(1, 26), st.integers(-26, -1), st.integers(101, 126))
+
+
+@given(st.lists(st.tuples(st.lists(any_symbols, max_size=6).map(tuple), coeffs), max_size=12))
+def test_terms_come_in_collation_order(pairs):
+    summed = {}
+    for word, coeff in pairs:
+        word = brute_reduce(word)
+        summed[word] = summed.get(word, 0) + coeff
+    words = sorted((word for word, coeff in summed.items() if coeff), key=naive_collation_key)
+    element = Element(pairs)
+    assert [word for word, _ in element.terms()] == element.support() == words
+
+
+def test_stored_words_have_distinct_hashes():
+    # A and B are the codes -1 and -2, and hash(-1) == hash(-2) in CPython
+    power = parse("A+B+c") ** 8
+    assert len(power) == 3**8
+    assert len({hash(word) for word in power._terms}) == len(power)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ncpoly.words import (
     check_symbol,
+    decode_word,
     differential,
     inverse,
     invert_word,
@@ -11,6 +12,7 @@ from ncpoly.words import (
     letter,
     reduce_word,
     symbol_text,
+    text_word,
     word_from_text,
     word_sort_key,
     word_text,
@@ -97,7 +99,7 @@ def test_symbol_text():
 def test_word_text_round_trip():
     word = word_from_text("xxY")
     assert word == (x, x, Y)
-    assert word_text(word) == "xxY"
+    assert word_text(word_sort_key(word)) == word_text(text_word("xxY")) == "xxY"
     assert word_from_text("xX") == ()
     with pytest.raises(ValueError):
         word_from_text("x1")
@@ -144,4 +146,10 @@ def test_word_sort_key_matches_printed_ascii_oracle(words):
 @example((x, y), (Y, X))
 def test_seam_join_matches_bruteforce_oracle(left, right):
     w1, w2 = reduce_word(left), reduce_word(right)
-    assert join_reduced(w1, w2) == brute_reduce(w1 + w2)
+    assert decode_word(join_reduced(word_sort_key(w1), word_sort_key(w2))) == brute_reduce(w1 + w2)
+
+
+@given(st.lists(any_symbols, max_size=12))
+def test_stored_words_round_trip(seq):
+    word = brute_reduce(seq)
+    assert decode_word(word_sort_key(word)) == word
