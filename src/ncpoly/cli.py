@@ -10,8 +10,9 @@ exactly.
 
 A ``^`` power, a session ``*`` product or bracket and a session or batch
 ``deriv`` or ``subs`` are refused when their result could pass
-``element.POWER_LIMIT`` terms or symbols in all; the session also refuses
-nesting deeper than ``MAX_NESTING``.
+``element.POWER_LIMIT`` terms or symbols in all (``calculus`` holds the
+size rule of ``deriv`` and ``subs``); the session also refuses nesting
+deeper than ``MAX_NESTING``.
 
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 evaluation
 error (unbound generator, singular matrix, non-invertible replacement,
@@ -30,7 +31,7 @@ import sys
 # calculus, matrixeval and randomgen load on first use, through the package
 import ncpoly
 
-from .element import Element, _bounded_product, _check_product, _check_size
+from .element import Element, _bounded_product, _check_product
 from .parsing import (
     BAD_NUMBER,
     EMPTY_TERM,
@@ -42,7 +43,7 @@ from .parsing import (
     tokenize,
 )
 from .textio import canonical_print, to_json
-from .words import encode_word, letter_index
+from .words import letter_index
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -203,7 +204,7 @@ class _ExpressionParser:
             self.expect_op(",")
             letter = self.letter_argument()
             self.expect_op(")")
-            return _bounded_derivative(argument, letter)
+            return ncpoly.calculus._bounded_derivative(argument, letter)
         pairs = []
         while self.at_op(","):
             self.advance()
@@ -211,7 +212,7 @@ class _ExpressionParser:
             self.expect_op("=")
             pairs.append((letter, self.expression()))
         self.expect_op(")")
-        return _bounded_substitution(argument, pairs)
+        return ncpoly.calculus._bounded_substitution(argument, pairs)
 
     def letter_argument(self) -> int:
         token = self.advance()
@@ -220,43 +221,6 @@ class _ExpressionParser:
         except ValueError:
             kind = EMPTY_TERM if token.kind == "end" else UNEXPECTED_CHAR
             raise ParseError(token.start, "expected a single generator letter", kind) from None
-
-
-def _bounded_derivative(element: Element, letter: int) -> Element:
-    """``derivative``, refused when its terms or their symbols in all could pass POWER_LIMIT."""
-    up, down = encode_word((letter, -letter))
-    terms = symbols = 0
-    for word in element._terms:
-        hits = word.count(up) + word.count(down)
-        terms += hits
-        symbols += hits * (len(word) + 2)
-    _check_size("deriv", terms, symbols)
-    return ncpoly.derivative(element, letter)
-
-
-def _bounded_substitution(element: Element, pairs: list[tuple[int, Element]]) -> Element:
-    """``substitute`` of (letter, replacement) pairs, one after another, each
-    refused like ``_bounded_derivative`` against the result so far.
-
-    A word with k occurrences of the letter and m of its inverse becomes at
-    most n**k terms, n being the replacement's term count, each at most
-    len(word) + (k + m) * (longest - 1) symbols long, longest being the
-    replacement's longest word.
-    """
-    for letter, replacement in pairs:
-        up, down = encode_word((letter, -letter))
-        n = len(replacement)
-        longest = max(map(len, replacement._terms), default=0)
-        terms = symbols = 0
-        for word in element._terms:
-            k, m = word.count(up), word.count(down)
-            # n**20 is past the limit for any n above 1, so the exponent stops there
-            count = n ** min(k, 20)
-            terms += count
-            symbols += count * (len(word) + (k + m) * (longest - 1))
-        _check_size("subs", terms, symbols)
-        element = ncpoly.substitute(element, [(letter, replacement)])
-    return element
 
 
 def evaluate_expression(text: str, session: dict | None = None) -> Element:
@@ -342,7 +306,7 @@ def _cmd_deriv(args) -> int:
         letter = letter_index(args.letter)
     except ValueError:
         return _usage_error(f"LETTER must be a single lowercase letter, got {args.letter!r}")
-    print(canonical_print(_bounded_derivative(_parse(args.expr), letter)))
+    print(canonical_print(ncpoly.calculus._bounded_derivative(_parse(args.expr), letter)))
     return EXIT_OK
 
 
@@ -357,7 +321,7 @@ def _cmd_subs(args) -> int:
             return _usage_error(f"LETTER must be a single lowercase letter, got {target!r}")
         # outside the try: a ParseError is a ValueError, and exits 2, not 4
         pairs.append((letter, _parse(replacement)))
-    print(canonical_print(_bounded_substitution(_parse(args.expr), pairs)))
+    print(canonical_print(ncpoly.calculus._bounded_substitution(_parse(args.expr), pairs)))
     return EXIT_OK
 
 

@@ -21,9 +21,9 @@ look ranks up through ``encode_word`` and the tables ``SYMBOLS`` and
 Boundary rule: each input is checked once, where it enters, and then
 goes to ``reduce_checked``, the one unchecked stack pass: ``encode_word``
 checks symbol codes (``Element(...)``), ``text_word`` letters text
-(``parse``) and ``textio.from_json`` JSON entries, each by lookups in the
-table.  Internal joins such as ``join_reduced`` assume reduced input and
-cancel only at the seam; their words go to ``Element._from_reduced``.
+(``parse``) and ``textio.from_json`` JSON entries.  Its one internal
+caller is the one-term map of ``calculus.substitute``, which reduces a
+word's joined pieces in one pass; ``join_reduced`` cancels at one seam.
 """
 
 from __future__ import annotations

@@ -104,3 +104,28 @@ def assert_normalized(element):
         assert coeff != 0.0
         for left, right in zip(word, word[1:]):
             assert left != -right, f"unreduced word stored: {word}"
+
+
+def substitute_symbols(word, coeff, target, replacement):
+    """Terms of ``coeff * word`` with each symbol replaced on its own, by
+    expand_product from ``coeff``, so factors multiply in occurrence order.
+
+    The letter ``target`` becomes ``replacement`` (a term dict), its inverse the
+    inverse of the one term ``c*w``: ``(1/c) * w^-1``, ``w`` reversed with every
+    symbol inverted; every other symbol stays.  None when an inverse occurrence
+    meets a replacement that is not one term, or whose word holds a token.
+    """
+    factors = [{(): coeff}]
+    for sym in word:
+        if sym == target:
+            factors.append(replacement)
+        elif sym == -target:
+            if len(replacement) != 1:
+                return None
+            ((w, c),) = replacement.items()
+            if any(s > 100 for s in w):
+                return None
+            factors.append({tuple(-s for s in reversed(w)): 1.0 / c})
+        else:
+            factors.append({(sym,): 1.0})
+    return expand_product(factors)

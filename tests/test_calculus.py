@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ncpoly
 from ncpoly import (
     Element,
     Matrix,
@@ -19,7 +20,7 @@ from ncpoly import (
 )
 from ncpoly.words import differential, inverse, letter, word_from_text
 
-from oracles import assert_normalized, expand_product, mat_add, mat_scale, mat_sub
+from oracles import assert_normalized, expand_product, mat_add, mat_scale, mat_sub, substitute_symbols
 
 coeffs = st.integers(-9, 9)
 symbols = st.sampled_from([1, -1, 2, -2, differential("a")])
@@ -116,6 +117,66 @@ def test_single_term_substitution_is_multiplicative(a, b):
     # coefficient 2 keeps the inverse image's 1/c scaling exact in binary
     pair = [("b", parse("2x"))]
     assert substitute(a * b, pair) == substitute(a, pair) * substitute(b, pair)
+
+
+# dyadic coefficients keep every sum and product exact but 1/c, so the oracle
+# multiplies in occurrence order and sums the words in print order, as the library does
+dyadic = st.integers(-8, 8).filter(bool).map(lambda n: n / 4)
+# a letter, the target b, their inverses and two differential tokens
+oracle_symbols = [1, -1, 2, -2, differential("a"), differential("b")]
+oracle_words = st.lists(st.sampled_from(oracle_symbols), max_size=6).map(tuple)
+# short replacement words, so that they often cancel against their neighbours
+image_words = st.lists(st.sampled_from(oracle_symbols), max_size=3).map(tuple)
+one_term = st.tuples(image_words, dyadic).map(lambda term: [term])
+several_terms = st.lists(st.tuples(image_words, dyadic), min_size=2, max_size=3)
+# half the elements avoid B, so that several-term replacements apply to them
+no_inverse_b = st.lists(st.sampled_from([s for s in oracle_symbols if s != -2]), max_size=6).map(tuple)
+oracle_pairs = st.one_of(*(st.lists(st.tuples(words, dyadic), max_size=5) for words in (oracle_words, no_inverse_b)))
+
+
+@given(oracle_pairs, st.one_of(one_term, several_terms, st.just([])))
+# ab with b -> 2A, aBa with b -> 0.5a and ba with b -> 0.5A + 0.25a: the pieces cancel
+@example([((1, 2), 1.0)], [((-1,), 2.0)])
+@example([((1, -2, 1), 0.75)], [((1,), 0.5)])
+@example([((2, 1), 1.0)], [((-1,), 0.5), ((1,), 0.25)])
+def test_substitution_matches_symbol_oracle(pairs, replacement_pairs):
+    # inverse occurrences and tokens in the words, and one-term, several-term
+    # and zero replacements, some with tokens: NonInvertibleReplacement included
+    element, replacement = Element(pairs), Element(replacement_pairs)
+    images = dict(replacement.terms())
+    expected = {}
+    for word, coeff in element.terms():
+        expansion = substitute_symbols(word, coeff, letter("b"), images)
+        if expansion is None:
+            with pytest.raises(NonInvertibleReplacement):
+                substitute(element, b=replacement)
+            return
+        for w, c in expansion.items():
+            expected[w] = expected.get(w, 0.0) + c
+    assert substitute(element, b=replacement) == Element(expected)
+
+
+def test_substitution_work_is_linear_in_its_output(monkeypatch):
+    # the words that substitution joins and reduces, counted by their lengths;
+    # copying the whole prefix at each of the 4,000 occurrences would sum to about 5e7
+    power, replacement = parse("x") ** 4000, parse("yzX")
+    produced = []
+
+    def counted(function):
+        def wrapper(*args):
+            word = function(*args)
+            produced.append(len(word))
+            return word
+
+        return wrapper
+
+    for module in (ncpoly.calculus, ncpoly.element):
+        for name in ("join_reduced", "reduce_checked"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    result = substitute(power, x=replacement)
+    assert result == Element.from_word("yzX" * 4000)
+    assert sum(produced) <= 3 * 12000
 
 
 # ----------------------------------------------------------------------

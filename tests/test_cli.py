@@ -420,10 +420,12 @@ def test_session_products_are_bounded():
 
 def test_session_deriv_and_subs_are_bounded():
     stdout = io.StringIO()
-    script = "X = x^600000\nderiv(X, x)\nsubs(X, x=x+y)\nsubs(X, x=xx)\n[a, b]\n"
+    script = "X = x^600000\nsubs(X, x=Y)\nsubs(X, x=yy)\nderiv(X, x)\nsubs(X, x=x+y)\nsubs(X, x=xx)\n[a, b]\n"
     assert run_repl(io.StringIO(script), stdout) == EXIT_OK
     refused = "error: {} could exceed the limit of 1000000 terms or symbols in all"
     assert stdout.getvalue().splitlines() == [
+        "+ 1*" + "Y" * 600000,
+        refused.format("subs"),
         refused.format("deriv"),
         refused.format("subs"),
         refused.format("subs"),
