@@ -4,9 +4,9 @@ The session grammar extends the flat element syntax with parentheses,
 ``*`` products, integer ``^`` powers, ``[a, b]`` commutator brackets,
 ``deriv(expr, letter)`` and ``subs(expr, letter=expr, ...)`` calls, and
 named bindings (``NAME = expr``).  It reads the tokens of
-``parsing.tokenize``, like the flat syntax.  Batch subcommands stick to
-the flat element syntax so their output matches the library printer
-exactly.
+``parsing.tokenize``, while the flat syntax is read term by term by
+``parsing.parse``.  Batch subcommands stick to the flat element syntax
+so their output matches the library printer exactly.
 
 A ``^`` power, a session ``*`` product or bracket and a session or batch
 ``deriv`` or ``subs`` are refused when their result could pass
@@ -18,7 +18,8 @@ Exit codes: 0 success, 1 failed check, 2 parse error, 3 evaluation
 error (unbound generator, singular matrix, non-invertible replacement,
 non-finite coefficient or matrix entry, a result past ``POWER_LIMIT``),
 4 usage error (including an unreadable ``--matrices`` file, a ``--dim``
-below 1, a negative or non-finite ``--tol`` and ``rand`` sizes past it).
+below 1 or above 100, where dim**3 passes ``POWER_LIMIT``, a negative or
+non-finite ``--tol`` and ``rand`` sizes past ``POWER_LIMIT``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 # calculus, matrixeval and randomgen load on first use, through the package
 import ncpoly
 
-from .element import Element, _bounded_product, _check_product
+from .element import POWER_LIMIT, Element, _bounded_product, _check_product
 from .parsing import (
     BAD_NUMBER,
     EMPTY_TERM,
@@ -110,10 +111,6 @@ class _ExpressionParser:
             raise ParseError(token.start, f"expected {op!r}", kind)
 
     def parse(self) -> Element:
-        # the whole line is scanned first: its leftmost bad token wins over grammar errors
-        for token in self.tokens:
-            if token.kind == "bad":
-                raise token.value
         value = self.expression()
         token = self.peek()
         if token.kind != "end":
@@ -238,16 +235,18 @@ def run_command(line: str, session: dict) -> str | None:
     """
     if not line.strip():
         return None
-    tokens = list(tokenize(line))
-    if tokens[0].kind == "name" and tokens[1].text == "=":
-        name = tokens[0].text
+    # the name of a binding is checked before the rest of the line is tokenized
+    tokens = tokenize(line)
+    first, second = next(tokens), next(tokens)
+    if first.kind == "name" and second.text == "=":
+        name = first.text
         if len(name) == 1 and not name.isupper():
             raise SessionError(f"'{name}' cannot be bound: single lowercase letters are generators")
         if name in RESERVED_FUNCTIONS:
             raise SessionError(f"'{name}' is a built-in function and cannot be bound")
-        session[name] = _ExpressionParser(tokens[2:], session).parse()
+        session[name] = _ExpressionParser(list(tokens), session).parse()
         return None
-    return canonical_print(_ExpressionParser(tokens, session).parse())
+    return canonical_print(_ExpressionParser([first, second, *tokens], session).parse())
 
 
 def run_repl(stdin=None, stdout=None) -> int:
@@ -347,8 +346,9 @@ def _cmd_json(args) -> int:
 
 
 def _cmd_matcheck(args) -> int:
-    if args.dim is not None and args.dim < 1:
-        return _usage_error(f"--dim must be at least 1, got {args.dim}")
+    # each matrix product takes dim**3 multiply-adds in pure Python
+    if args.dim is not None and not 1 <= args.dim**3 <= POWER_LIMIT:
+        return _usage_error(f"--dim must be at least 1, with dim**3 at most {POWER_LIMIT}, got {args.dim}")
     if not 0 <= args.tol < math.inf:
         return _usage_error(f"--tol must be finite and not negative, got {args.tol}")
     a = _parse(args.expr_a)

@@ -1,19 +1,18 @@
-"""Reading element text: one tokenizer and the flat term syntax.
+"""Reading element text: the flat term syntax and the session tokenizer.
 
-``tokenize`` is the one scanner for both expression grammars, this
-module's flat syntax (``parse``) and the session syntax of the command
-line (``ncpoly.cli.evaluate_expression``).  It yields ``Token``\\ s with
-0-based start and end offsets: ``num`` (digits and ``.``), ``name``
-(``[A-Za-z_][A-Za-z0-9_]*``), ``op`` (one of ``+-*^()[],=``) and a
-final ``end``.  Spaces between tokens are skipped.  It is the only
-place that checks numbers (a second decimal point, no digits, a value
-too large for a float are BadNumber) and characters (anything else is
-UnexpectedChar).  A rejected number or character comes out as a ``bad``
-token carrying its ParseError, so each grammar raises it where its own
-reading order reaches it: ``parse`` reads tokens lazily and reports the
-first error from the left, while the session scans the whole line first.
+``parse`` reads the flat syntax one term at a time, each term one match
+of a single pattern (sign, number, ``*``, letters, each optional), and
+reports the first error from the left.  ``tokenize`` is the scanner of
+the session syntax of the command line (``ncpoly.cli``).  It yields
+``Token``\\ s with 0-based start and end offsets: ``num`` (digits and
+``.``), ``name`` (``[A-Za-z_][A-Za-z0-9_]*``), ``op`` (one of
+``+-*^()[],=``) and a final ``end``, skipping spaces between them.  It
+raises ParseError on reaching any other character (UnexpectedChar) or a
+rejected number.  Both grammars read numbers with one pattern and check
+them in ``_number``: a second decimal point, no digits or a value too
+large for a float are BadNumber.
 
-The flat grammar (spaces allowed between tokens)::
+The flat grammar (spaces allowed between the parts of a term and around signs)::
 
     expression  := [sign] term {sign term}        empty input is zero
     term        := coefficient ["*" letters]
@@ -60,42 +59,46 @@ class ParseError(ValueError):
         self.kind = kind
 
 
-# kind is "num", "name", "op", "bad" or "end"; value is the number, or a bad token's error
+# kind is "num", "name", "op" or "end"; value is a number token's float
 Token = namedtuple("Token", "kind text value start end")
 
 
+# one number piece for both grammars, checked by _number
+_NUMBER = "[0-9.]+"
+# the last alternative, any other character, is rejected by tokenize
 _TOKEN = re.compile(
-    r" *(?:(?P<num>[0-9.]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()\[\],=])|(?P<bad>[^ ]))"
+    rf" *(?:(?P<num>{_NUMBER})|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()\[\],=])|[^ ])"
 )
+# one flat term, every part optional: sign, number, "*", letters
+_TERM = re.compile(rf" *([-+]?) *(?:({_NUMBER}) *)?(\*?) *([A-Za-z]*) *")
 
 
 def tokenize(text: str) -> Iterator[Token]:
-    """Yield the tokens of ``text`` lazily, ending with an ``end`` token."""
+    """Yield the session tokens of ``text`` lazily, ending with an ``end`` token.
+
+    Raises ParseError on reaching a rejected character or number.
+    """
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
+        if kind is None:
+            raise _char_error(match.end() - 1, text[match.end() - 1])
         start, end = match.span(kind)
         raw = match[kind]
-        value = None
-        if kind == "num":
-            value = _number(raw, start)
-            if isinstance(value, ParseError):
-                kind = "bad"
-        elif kind == "bad":
-            value = ParseError(start, f"character {raw!r} is not element syntax", UNEXPECTED_CHAR)
+        value = _number(raw, start) if kind == "num" else None
         # tuple.__new__ skips the namedtuple's slower Python-level __new__
         yield tuple.__new__(Token, (kind, raw, value, start, end))
     yield Token("end", "", None, len(text), len(text))
 
 
-def _number(raw: str, start: int) -> float | ParseError:
+def _number(raw: str, start: int) -> float:
     second_dot = raw.find(".", raw.find(".") + 1)
     if second_dot >= 0:
-        return ParseError(start + second_dot, "number has a second decimal point", BAD_NUMBER)
+        raise ParseError(start + second_dot, "number has a second decimal point", BAD_NUMBER)
     if raw == ".":
-        return ParseError(start, "number has no digits", BAD_NUMBER)
+        raise ParseError(start, "number has no digits", BAD_NUMBER)
     value = float(raw)
     if not math.isfinite(value):
-        return ParseError(start, "number is too large for a float", BAD_NUMBER)
+        raise ParseError(start, "number is too large for a float", BAD_NUMBER)
     return value
 
 
@@ -105,67 +108,40 @@ def parse(text: str) -> Element:
     The result is fully normalized: words reduced, like terms collected,
     zero coefficients dropped.  Raises ParseError on bad input.
     """
-    tokens = tokenize(text)
-    token = next(tokens)
-    if token.kind == "end":
-        return Element.zero()
-    sign = _SIGNS.get(token.text, 1.0)
-    if token.text in _SIGNS:
-        token = next(tokens)
     terms: dict[bytes, float] = {}
+    match = _TERM.match(text)
     while True:
-        coeff = sign
-        if token.kind == "num":
-            coeff *= token.value
-            token = next(tokens)
-            if token.text == "*":
-                token = next(tokens)
-                if not _is_letters(token):
-                    raise ParseError(token.start, "expected generator letters after '*'", EMPTY_TERM)
-        elif not _is_letters(token):
-            raise _term_error(token)
-        word = b""
-        if _is_letters(token):
-            word = _word(token)
-            token = next(tokens)
+        sign, number, star, letters = match.groups()
+        end = match.end()
+        coeff = -1.0 if sign == "-" else 1.0
+        if number:
+            coeff *= _number(number, match.start(2))
+            if star and not letters:
+                raise ParseError(end, "expected generator letters after '*'", EMPTY_TERM)
+        elif star:
+            raise ParseError(match.start(3), "'*' needs a coefficient before it", UNEXPECTED_CHAR)
+        elif not letters:
+            if end < len(text) and text[end] not in "+-":
+                raise _char_error(end, text[end])
+            if sign:
+                raise ParseError(end, "expected a term", EMPTY_TERM)
+            # only the first term may lack a sign, so this is blank input
+            return Element.zero()
         # words from text_word are reduced already: collect like terms here
+        word = text_word(letters)
         terms[word] = terms.get(word, 0.0) + coeff
-        if token.kind == "end":
+        if end == len(text):
             return Element._from_reduced(terms)
-        if token.text not in _SIGNS:
-            raise _after_term_error(token.start, token.text[0])
-        sign = _SIGNS[token.text]
-        token = next(tokens)
-
-
-_SIGNS = {"+": 1.0, "-": -1.0}
-
-
-def _is_letters(token: Token) -> bool:
-    return token.kind == "name" and token.text[0] != "_"
-
-
-def _word(token: Token) -> bytes:
-    """The word of a name token that must be letters only."""
-    text = token.text
-    if not text.isalpha():
-        # a digit or "_" ends the letters, and so the term
-        n = next(i for i, ch in enumerate(text) if not ch.isalpha())
-        raise _after_term_error(token.start + n, text[n])
-    return text_word(text)
-
-
-def _term_error(token: Token) -> ParseError:
-    if token.kind == "bad":
-        return token.value
-    if token.kind == "end" or token.text in _SIGNS:
-        return ParseError(token.start, "expected a term", EMPTY_TERM)
-    if token.text == "*":
-        return ParseError(token.start, "'*' needs a coefficient before it", UNEXPECTED_CHAR)
-    return ParseError(token.start, f"character {token.text[0]!r} is not element syntax", UNEXPECTED_CHAR)
+        if text[end] not in "+-":
+            raise _after_term_error(end, text[end])
+        match = _TERM.match(text, end)
 
 
 def _after_term_error(position: int, ch: str) -> ParseError:
     if ch.isascii() and (ch.isalnum() or ch in ".*"):
         return ParseError(position, f"unexpected {ch!r} after a complete term", TRAILING_INPUT)
+    return _char_error(position, ch)
+
+
+def _char_error(position: int, ch: str) -> ParseError:
     return ParseError(position, f"character {ch!r} is not element syntax", UNEXPECTED_CHAR)

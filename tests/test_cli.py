@@ -139,6 +139,23 @@ def test_run_command_binds_and_evaluates():
     assert run_command("   ", session) is None
 
 
+def test_run_command_checks_the_binding_name_first():
+    """A binding name is checked before the rest of its line is tokenized."""
+    for line in ("x = 1.2.3", "deriv = ?"):
+        with pytest.raises(SessionError):
+            run_command(line, {})
+    for line, kind, position in [
+        ("AA = 1.2.3", BAD_NUMBER, 8),
+        ("AA ? = x", UNEXPECTED_CHAR, 3),
+        ("1.2.3 = x", BAD_NUMBER, 3),
+    ]:
+        session = {}
+        with pytest.raises(ParseError) as excinfo:
+            run_command(line, session)
+        assert (excinfo.value.kind, excinfo.value.position) == (kind, position)
+        assert session == {}
+
+
 def test_run_command_name_rules():
     session = {}
     with pytest.raises(SessionError):
@@ -355,6 +372,8 @@ def test_usage_errors_exit_4():
         ("rand", "--seed", "1", "--terms", str(10**12)),
         ("matcheck", "x", "x", "--seed", "1", "--dim", "0"),
         ("matcheck", "x", "x", "--seed", "1", "--dim", "-2"),
+        # dim**3 past POWER_LIMIT: each product would take over 10**6 multiply-adds
+        ("matcheck", "x", "y", "--seed", "1", "--dim", "101"),
         ("matcheck", "x", "x", "--seed", "1", "--tol", "nan"),
         ("matcheck", "x", "x", "--seed", "1", "--tol=-1"),
         ("matcheck", "x", "x", "--seed", "1", "--tol", "inf"),

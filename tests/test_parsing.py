@@ -99,6 +99,14 @@ ERROR_CASES = [
     ("2*?", 2, EMPTY_TERM),
     ("2*_x", 2, EMPTY_TERM),
     ("2* 1.2.3", 3, EMPTY_TERM),
+    ("- *x", 2, UNEXPECTED_CHAR),
+    ("2**x", 2, EMPTY_TERM),
+    ("2 _x", 2, UNEXPECTED_CHAR),
+    ("x - - y", 4, EMPTY_TERM),
+    ("xé", 1, UNEXPECTED_CHAR),
+    ("2x +  ", 6, EMPTY_TERM),
+    ("+ 2 3", 4, TRAILING_INPUT),
+    ("x + 2*", 6, EMPTY_TERM),
 ]
 
 
@@ -111,6 +119,26 @@ def test_error_positions_and_kinds(text, position, kind):
     assert err.position == position
     assert 0 <= err.position <= len(text)
     assert f"position {position}" in str(err)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x + ", "expected a term"),
+        ("*x", "'*' needs a coefficient before it"),
+        ("x?", "character '?' is not element syntax"),
+        ("2*", "expected generator letters after '*'"),
+        ("x 2", "unexpected '2' after a complete term"),
+        ("1.2.3", "number has a second decimal point"),
+        (".", "number has no digits"),
+        ("1" * 400, "number is too large for a float"),
+    ],
+)
+def test_error_messages(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert excinfo.value.message == message
+    assert str(excinfo.value) == f"{message} (at position {excinfo.value.position})"
 
 
 @given(elements)
