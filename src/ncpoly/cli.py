@@ -233,7 +233,7 @@ def run_command(line: str, session: dict) -> str | None:
     need at least two characters (or a single uppercase letter); single
     lowercase letters stay generator syntax.
     """
-    if not line.strip():
+    if not line.strip(" "):
         return None
     # the name of a binding is checked before the rest of the line is tokenized
     tokens = tokenize(line)

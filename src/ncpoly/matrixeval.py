@@ -3,8 +3,8 @@
 Evaluating an element on a square-matrix assignment turns every word
 into an ordered matrix product, so sums and products of elements must
 map to sums and products of matrices; ``homomorphism_check`` measures
-exactly that.  Dimensions stay tiny (at most 10 everywhere this is
-used), so the linear algebra is done directly: schoolbook
+exactly that.  Dimensions stay small (``matcheck --dim`` allows at most
+100), so the linear algebra is done directly: schoolbook
 multiplication and LU factorization with partial pivoting for inverses.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
+from itertools import chain
 from operator import mul
 from os.path import commonprefix
 
@@ -35,10 +36,16 @@ class SingularMatrix(ArithmeticError):
     """An inverse was requested but a pivot fell below the singularity threshold."""
 
 
-def _matmul(a: tuple, b: tuple) -> tuple:
-    """Schoolbook product of two square row tuples of one size (``@`` and ``evaluate``)."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+def _matmul(a: tuple, cols: tuple) -> tuple:
+    """Schoolbook product of square rows ``a`` and a right factor given by its columns."""
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+def _finite(rows: tuple) -> tuple:
+    """``rows`` unchanged, or NonFiniteCoefficient if an entry is infinite or NaN."""
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise NonFiniteCoefficient("matrix entries must be finite")
+    return rows
 
 
 class Matrix:
@@ -51,10 +58,15 @@ class Matrix:
         dim = len(rows)
         if dim == 0 or any(len(row) != dim for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        if any(not math.isfinite(x) for row in rows for x in row):
-            raise NonFiniteCoefficient("matrix entries must be finite")
         self.dim = dim
-        self.rows = rows
+        self.rows = _finite(rows)
+
+    @classmethod
+    def _from_rows(cls, rows: tuple) -> "Matrix":
+        """Square float rows computed here; only their finiteness is checked."""
+        matrix = object.__new__(cls)
+        matrix.dim, matrix.rows = len(rows), _finite(rows)
+        return matrix
 
     @classmethod
     def identity(cls, dim: int) -> "Matrix":
@@ -78,7 +90,7 @@ class Matrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Matrix(_matmul(self.rows, other.rows))
+        return Matrix._from_rows(_matmul(self.rows, tuple(zip(*other.rows))))
 
     def max_abs(self) -> float:
         return max(abs(x) for row in self.rows for x in row)
@@ -120,7 +132,7 @@ class Matrix:
                     y[r] -= lu[r][c] * y[c]
                 y[r] /= lu[r][r]
             columns.append(y)
-        return Matrix(tuple(zip(*columns)))
+        return Matrix._from_rows(tuple(zip(*columns)))
 
     def to_jsonable(self) -> dict:
         return {"dim": self.dim, "rows": [list(row) for row in self.rows]}
@@ -167,6 +179,8 @@ class MatrixAssignment(namedtuple("MatrixAssignment", "dim bindings diff_binding
         for matrix in [*bindings.values(), *diffs.values()]:
             if matrix.dim != dim:
                 raise ValueError("all bound matrices must share the assignment dimension")
+        if dim < 1:
+            raise ValueError("the assignment dimension must be at least 1")
         return super().__new__(cls, dim, bindings, diffs)
 
     # _replace goes through _make, which would otherwise skip __new__
@@ -183,16 +197,21 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
     letter's binding cannot be inverted and NonFiniteCoefficient when
     the value overflows.
 
-    Words come in ``terms()`` order, so neighbours share long prefixes:
-    each word reuses the stacked products of the prefix it shares with
-    the word before it.  Every word is still the left fold ``M1 @ M2 @
-    ...``, added in the same order, so the result is bitwise equal to
-    folding each word from scratch.
+    Each symbol's image (an inverse letter's through one LU inverse) is
+    built once per call, on first use.  Words come in ``terms()`` order,
+    so neighbours share long prefixes: each word reuses the stacked
+    products of the prefix it shares with the word before it.  Every
+    word is still the left fold ``M1 @ M2 @ ...``, added in the same
+    order, so the result is bitwise equal to folding each word from
+    scratch.
     """
+    return _evaluate(element, assignment, {})
+
+
+def _evaluate(element: Element, assignment: MatrixAssignment, images: dict) -> Matrix:
+    """``evaluate`` filling ``images``, a map from symbol rank to (rows, columns)."""
     dim = assignment.dim
-    identity = Matrix.identity(dim).rows
     total = [[0.0] * dim for _ in range(dim)]
-    images: dict[int, tuple] = {}
     prefix: list[tuple] = []  # prefix[k]: product of the first k+1 symbols of prev
     prev = b""
     for word, coeff in element._sorted():
@@ -201,12 +220,13 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
         for rank in word[shared:]:
             if rank not in images:
                 images[rank] = _image(SYMBOLS[rank], assignment)
-            prefix.append(_matmul(prefix[-1], images[rank]) if prefix else images[rank])
-        product = prefix[-1] if word else identity
+            rows, cols = images[rank]
+            prefix.append(_matmul(prefix[-1], cols) if prefix else rows)
+        product = prefix[-1] if word else Matrix.identity(dim).rows
         prev = word
         for row, prow in zip(total, product):
             row[:] = [t + p * coeff for t, p in zip(row, prow)]
-    return Matrix(total)
+    return Matrix._from_rows(tuple(map(tuple, total)))
 
 
 def _image(sym: int, assignment: MatrixAssignment) -> tuple:
@@ -215,7 +235,8 @@ def _image(sym: int, assignment: MatrixAssignment) -> tuple:
     matrix = bindings.get(key % DIFF_BASE)
     if matrix is None:
         raise UnboundLetter(symbol_text(key))
-    return (matrix.inverse() if sym < 0 else matrix).rows
+    rows = (matrix.inverse() if sym < 0 else matrix).rows
+    return rows, tuple(zip(*rows))
 
 
 HomomorphismReport = namedtuple("HomomorphismReport", "max_abs_residual max_rel_residual passed")
@@ -228,10 +249,13 @@ def homomorphism_check(
 
     With residual ``R`` being their difference, the check passes when
     ``max|R| <= tol * (1 + max|evaluate(a*b)|)``; the reported relative
-    residual is ``max|R|`` divided by that scale.
+    residual is ``max|R|`` divided by that scale.  The three evaluations
+    share one table of symbol images, built once per call, so each
+    inverse letter is factored once.
     """
-    product = evaluate(a, assignment) @ evaluate(b, assignment)
-    direct = evaluate(a * b, assignment)
+    images: dict[int, tuple] = {}
+    product = _evaluate(a, assignment, images) @ _evaluate(b, assignment, images)
+    direct = _evaluate(a * b, assignment, images)
     max_abs = max(abs(p - d) for pr, dr in zip(product.rows, direct.rows) for p, d in zip(pr, dr))
     scale = 1.0 + direct.max_abs()
     return HomomorphismReport(max_abs, max_abs / scale, max_abs <= tol * scale)

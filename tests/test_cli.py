@@ -139,6 +139,16 @@ def test_run_command_binds_and_evaluates():
     assert run_command("   ", session) is None
 
 
+def test_run_command_skips_only_lines_of_spaces():
+    """Other whitespace is an unexpected character, as it is for ``parse``."""
+    assert run_command("", {}) is None
+    assert run_command("   ", {}) is None
+    for line in ("\t", "\x1c", "\u3000"):
+        with pytest.raises(ParseError) as excinfo:
+            run_command(line, {})
+        assert (excinfo.value.kind, excinfo.value.position) == (UNEXPECTED_CHAR, 0)
+
+
 def test_run_command_checks_the_binding_name_first():
     """A binding name is checked before the rest of its line is tokenized."""
     for line in ("x = 1.2.3", "deriv = ?"):

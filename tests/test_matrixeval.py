@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import ncpoly.matrixeval as matrixeval
 from ncpoly import (
     Element,
+    HomomorphismReport,
     Matrix,
     MatrixAssignment,
+    NonFiniteCoefficient,
     RandSpec,
     SingularMatrix,
     SplitMix64,
@@ -89,6 +91,8 @@ def test_assignment_validation_and_key_forms():
     assert by_name.bindings == by_index.bindings
     with pytest.raises(ValueError):
         MatrixAssignment(3, {"x": m})
+    with pytest.raises(ValueError):  # no 0x0 matrix, whichever element is evaluated
+        evaluate(Element(), MatrixAssignment(0, {}))
 
 
 def test_assignment_is_a_validated_named_tuple():
@@ -255,3 +259,59 @@ def test_evaluate_multiplies_each_shared_prefix_once(monkeypatch):
     # one product per distinct prefix of two or more symbols, against one per symbol after the first
     assert len(calls) == len({w[:k] for w in words for k in range(2, len(w) + 1)}) == 11
     assert sum(len(w) - 1 for w in words if w) == 17
+
+
+def test_homomorphism_check_inverts_each_binding_once(monkeypatch):
+    calls = []
+
+    def counting_inverse(self):
+        calls.append(1)
+        return real_inverse(self)
+
+    real_inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    assignment = random_assignment("xyz", 3, seed=11)
+    a, b = parse("xY + 2Z + zX"), parse("XyZ - Yz")
+    homomorphism_check(a, b, assignment)
+    # X, Y and Z, once each for a, b and a*b together, against 9 when each evaluation inverts its own
+    assert len(calls) == 3
+    homomorphism_check(a, b, assignment)
+    assert len(calls) == 6  # no table outlives a check
+
+
+def _check_by_separate_evaluations(a, b, assignment):
+    product = evaluate(a, assignment) @ evaluate(b, assignment)
+    direct = evaluate(a * b, assignment)
+    max_abs = mat_max_abs_diff(product.rows, direct.rows)
+    scale = 1.0 + direct.max_abs()
+    return HomomorphismReport(max_abs, max_abs / scale, max_abs <= 1e-9 * scale)
+
+
+def _outcome(check, *args):
+    """The report of a check, or the class of the arithmetic error it raised."""
+    try:
+        return check(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@given(prefix_sharing_elements(), prefix_sharing_elements(), st.integers(1, 4), st.integers(0, 2**32), st.booleans())
+def test_homomorphism_check_equals_separate_evaluations(a, b, dim, seed, singular):
+    assignment = random_assignment("ab", dim, seed, diff_letters="ab")
+    if singular:
+        assignment = assignment._replace(bindings={**assignment.bindings, 1: Matrix.zeros(dim)})
+    expected = _outcome(_check_by_separate_evaluations, a, b, assignment)
+    # bitwise: repr gives every float exactly
+    assert repr(_outcome(homomorphism_check, a, b, assignment)) == repr(expected)
+
+
+def test_computed_matrices_are_checked_for_finiteness():
+    huge = Matrix([[1e200]])
+    with pytest.raises(NonFiniteCoefficient):
+        huge @ huge
+    with pytest.raises(NonFiniteCoefficient):
+        Matrix([[1e-310]]).inverse()
+    with pytest.raises(NonFiniteCoefficient):
+        evaluate(10**300 * parse("x"), MatrixAssignment(1, {"x": Matrix([[1e10]])}))
+    with pytest.raises(NonFiniteCoefficient):
+        homomorphism_check(parse("x"), parse("x"), MatrixAssignment(1, {"x": huge}))
