@@ -25,7 +25,6 @@ non-finite ``--tol`` and ``rand`` sizes past ``POWER_LIMIT``).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -378,6 +377,8 @@ def _load_assignment(path: str, dim: int | None) -> ncpoly.MatrixAssignment:
             text = handle.read()
     except UnicodeDecodeError:
         raise ParseError(0, f"{path} is not UTF-8 text", UNEXPECTED_CHAR) from None
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -2,21 +2,23 @@
 
 Both renderings list terms in the one collation order of
 ``ncpoly.words``, in which a stored word is its own sort key, so equal
-elements always produce identical text.
+elements always produce identical text.  Both write each word through
+a by-rank ``str.translate`` table, so ``json`` loads only to read.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 from .element import Element
 from .parsing import BAD_NUMBER, UNEXPECTED_CHAR, ParseError
 from .words import _RANK_TEXT, SYMBOLS, reduce_checked, word_text
 
-# a JSON word entry, by rank: the signed letter index, or "da".."dz" for a differential token
+# a JSON word entry, by rank: the signed letter index, or "da".."dz" for a differential
+# token; _JSON_ENTRY holds its JSON text and a trailing comma (a str.translate table)
 _TO_JSON = tuple(text[1:-1] if text[0] == "(" else sym for sym, text in zip(SYMBOLS, _RANK_TEXT))
 _FROM_JSON = {entry: rank for rank, entry in enumerate(_TO_JSON)}
+_JSON_ENTRY = tuple(f'"{entry}",' if type(entry) is str else f"{entry}," for entry in _TO_JSON)
 
 
 def format_coefficient(value: float) -> str:
@@ -59,16 +61,15 @@ def to_json(element: Element) -> str:
     A word entry is the signed letter index (positive for a letter,
     negative for its inverse) or a string like ``"da"`` for a
     differential token.  Terms are emitted in collation order and fields
-    in a fixed order, so output bytes are reproducible.
+    in a fixed order, so output bytes are reproducible: those of compact
+    ``json.dumps``, as every coefficient is finite, integral ones as ints.
     """
-    terms = [
-        {
-            "word": list(map(_TO_JSON.__getitem__, word)),
-            "coeff": int(coeff) if coeff.is_integer() else coeff,
-        }
+    terms = ",".join([
+        f'{{"word":[{word_text(word, _JSON_ENTRY)[:-1]}],'
+        f'"coeff":{(int(coeff) if coeff.is_integer() else coeff)!r}}}'
         for word, coeff in element._sorted()
-    ]
-    return json.dumps({"terms": terms}, separators=(",", ":"), allow_nan=False)
+    ])
+    return f'{{"terms":[{terms}]}}'
 
 
 def from_json(text: str) -> Element:
@@ -77,6 +78,8 @@ def from_json(text: str) -> Element:
     Raises ParseError on malformed JSON, schema violations, word entries
     that are not in the symbol table and non-numeric coefficients.
     """
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -93,10 +96,13 @@ def from_json(text: str) -> Element:
         if not isinstance(word, list):
             raise ParseError(0, '"word" must be a list of symbols', UNEXPECTED_CHAR)
         # the type guard keeps true from matching 1, and unhashable entries from the lookup
-        if not {int, str}.issuperset(map(type, word)) or not all(map(_FROM_JSON.__contains__, word)):
+        try:
+            if not {int, str}.issuperset(map(type, word)):
+                raise KeyError
+            word = reduce_checked(bytes(map(_FROM_JSON.__getitem__, word)))
+        except KeyError:
             value = next(v for v in word if type(v) not in (int, str) or v not in _FROM_JSON)
-            raise ParseError(0, f"invalid symbol entry: {value!r}", BAD_NUMBER)
-        word = reduce_checked(bytes(map(_FROM_JSON.__getitem__, word)))
+            raise ParseError(0, f"invalid symbol entry: {value!r}", BAD_NUMBER) from None
         coeff = entry["coeff"]
         if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
             raise ParseError(0, f'"coeff" must be a number, got {coeff!r}', BAD_NUMBER)
@@ -108,4 +114,3 @@ def from_json(text: str) -> Element:
             raise ParseError(0, '"coeff" must be a finite float', BAD_NUMBER)
         terms[word] = terms.get(word, 0.0) + value
     return Element._from_reduced(terms)
-

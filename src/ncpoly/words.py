@@ -21,14 +21,17 @@ look ranks up through ``encode_word`` and the tables ``SYMBOLS`` and
 Boundary rule: each input is checked once, where it enters, and then
 goes to ``reduce_checked``, the one unchecked stack pass: ``encode_word``
 checks symbol codes (``Element(...)``), ``text_word`` letters text
-(``parse``) and ``textio.from_json`` JSON entries.  Its one internal
-caller is the one-term map of ``calculus.substitute``, which reduces a
-word's joined pieces in one pass; ``join_reduced`` cancels at one seam.
+(``parse``) and ``textio.from_json`` JSON entries; most words enter
+reduced, and one without an adjacent inverse pair, found in C, comes
+back as it is.  Its one internal caller is the one-term map of
+``calculus.substitute``, which reduces a word's joined pieces in one
+pass; ``join_reduced`` cancels at one seam.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import eq
 
 DIFF_BASE = 100
 
@@ -107,8 +110,9 @@ def decode_word(word: bytes) -> tuple[int, ...]:
     return tuple(map(SYMBOLS.__getitem__, word))
 
 
-def word_text(word: bytes) -> str:
-    return word.decode("latin-1").translate(_RANK_TEXT)
+def word_text(word: bytes, table: tuple[str, ...] = _RANK_TEXT) -> str:
+    """A stored word as text: each rank written by ``table``, by default its printed text."""
+    return word.decode("latin-1").translate(table)
 
 
 def reduce_word(symbols: Iterable[int]) -> tuple[int, ...]:
@@ -120,10 +124,12 @@ def reduce_checked(word: bytes) -> bytes:
     """Fully reduce a stored word whose ranks are already checked.
 
     Adjacent letter/inverse pairs cancel, and cancellation cascades:
-    removing one pair may expose another.  Free-group reduction is
-    confluent, so a single left-to-right stack pass produces the unique
-    reduced word regardless of the order pairs are removed in.
+    removing one pair may expose another; a word with no adjacent pair
+    is handed back as it is.  Free-group reduction is confluent, so one
+    left-to-right stack pass gives the unique reduced word.
     """
+    if not any(map(eq, word[1:], word.translate(_INVERSE))):
+        return word
     out: list[int] = []
     for rank in word:
         if out and out[-1] == _INVERSE[rank]:

@@ -6,6 +6,8 @@ matrix arithmetic instead of the Matrix class, and dict-based term
 expansion instead of Element multiplication.
 """
 
+import json
+
 
 def brute_reduce(symbols):
     """Remove the first adjacent inverse pair, rescan, repeat to fixpoint."""
@@ -30,6 +32,21 @@ def json_symbol(entry):
     if type(entry) is str and len(entry) == 2 and entry[0] == "d" and entry[1] in letters:
         return 101 + letters.index(entry[1])
     return None
+
+
+def json_text(element):
+    """The JSON document of an element, built as a dict and written by
+    ``json.dumps`` in compact form: terms in ``terms()`` order, each word
+    entry by ``json_symbol``'s rule, an integral coefficient as an int."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    terms = [
+        {
+            "word": [sym if sym < 100 else "d" + letters[sym - 101] for sym in word],
+            "coeff": int(coeff) if coeff.is_integer() else coeff,
+        }
+        for word, coeff in element.terms()
+    ]
+    return json.dumps({"terms": terms}, separators=(",", ":"), allow_nan=False)
 
 
 def naive_collation_key(word):

@@ -36,6 +36,17 @@ def test_eval_loads_only_what_it_uses():
     assert run_fresh(code) == ["+ 1*x", "[]"]
 
 
+def test_eval_and_json_load_no_json_module():
+    code = (
+        "import sys\n"
+        "import ncpoly.cli\n"
+        "ncpoly.cli.main(['eval', 'x'])\n"
+        "ncpoly.cli.main(['json', 'x'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('json', '_json')))\n"
+    )
+    assert run_fresh(code) == ["+ 1*x", '{"terms":[{"word":[24],"coeff":1}]}', "[]"]
+
+
 def test_every_export_resolves():
     code = (
         "import ncpoly\n"

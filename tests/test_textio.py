@@ -1,16 +1,16 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import ncpoly.words
-from ncpoly import Element, canonical_print, derivative, from_json, parse, to_json
+from ncpoly import Element, NonFiniteCoefficient, canonical_print, derivative, from_json, parse, to_json
 from ncpoly.parsing import BAD_NUMBER, UNEXPECTED_CHAR, ParseError
 from ncpoly.textio import format_coefficient
 from ncpoly.words import differential
 
-from oracles import json_symbol
+from oracles import json_symbol, json_text
 
 coeffs = st.integers(-9, 9)
 symbols = st.sampled_from([1, -1, 2, -2, differential("a"), differential("b")])
@@ -92,6 +92,22 @@ def test_json_round_trip(element):
     assert from_json(to_json(element)) == element
 
 
+json_coeffs = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([1e300, -1e300, 2.0**53 + 2, 1e-300, 5e-324, -5e-324, 0.1, -1 / 3, 1e22, 1e16, 123456.789]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(st.tuples(raw_words, json_coeffs), max_size=6))
+def test_to_json_writes_what_json_dumps_writes(terms):
+    try:
+        element = Element(terms)
+    except NonFiniteCoefficient:  # equal words whose coefficients overflow when summed
+        assume(False)
+    assert to_json(element) == json_text(element)
+
+
 BAD_JSON = [
     ("{not json", UNEXPECTED_CHAR),
     ('{"terms": 3}', UNEXPECTED_CHAR),
@@ -121,6 +137,48 @@ def test_from_json_rejects(text, kind):
     with pytest.raises(ParseError) as excinfo:
         from_json(text)
     assert excinfo.value.kind == kind
+
+
+def _digit_limit_message():
+    """The error of a 5001-digit integer coefficient: the interpreter's own
+    digit-limit message, or, where there is no limit, the overflow to inf."""
+    try:
+        int("1" + "0" * 5000)
+    except ValueError as exc:
+        return f"invalid JSON number: {exc}"
+    return '"coeff" must be a finite float'
+
+
+# by BAD_JSON row: the position and message of its error
+BAD_JSON_ERRORS = [
+    (1, "invalid JSON: Expecting property name enclosed in double quotes"),
+    *[(0, 'expected an object of the form {"terms": [...]}')] * 3,
+    (0, 'each term needs exactly "word" and "coeff"'),
+    (0, '"word" must be a list of symbols'),
+    (0, "invalid symbol entry: 0"),
+    (0, "invalid symbol entry: 27"),
+    (0, "invalid symbol entry: -27"),
+    (0, "invalid symbol entry: True"),
+    (0, "invalid symbol entry: 'dA'"),
+    (0, "invalid symbol entry: 'xx'"),
+    (0, "\"coeff\" must be a number, got '3'"),
+    (0, '"coeff" must be a number, got True'),
+    *[(0, '"coeff" must be a finite float')] * 5,
+    (0, _digit_limit_message()),
+]
+
+
+@pytest.mark.parametrize(
+    "text,kind,position,message",
+    [
+        pytest.param(*getattr(row, "values", row), *error, id=getattr(row, "id", None))
+        for row, error in zip(BAD_JSON, BAD_JSON_ERRORS, strict=True)
+    ],
+)
+def test_from_json_errors_keep_their_kind_position_and_message(text, kind, position, message):
+    with pytest.raises(ParseError) as excinfo:
+        from_json(text)
+    assert (excinfo.value.kind, excinfo.value.position, excinfo.value.message) == (kind, position, message)
 
 
 json_entries = st.one_of(

@@ -10,6 +10,7 @@ from ncpoly.words import (
     invert_word,
     join_reduced,
     letter,
+    reduce_checked,
     reduce_word,
     symbol_text,
     text_word,
@@ -153,3 +154,16 @@ def test_seam_join_matches_bruteforce_oracle(left, right):
 def test_stored_words_round_trip(seq):
     word = brute_reduce(seq)
     assert decode_word(word_sort_key(word)) == word
+
+
+@given(raw_sequences)
+@example(())
+@example((x, differential("x"), X))
+@example((x, y, differential("a"), Y, X))
+@example((y, x, X, x, Y, differential("b")))
+def test_reduce_checked_returns_a_reduced_word_as_is(seq):
+    word = word_sort_key(seq)
+    reduced = reduce_checked(word)
+    assert decode_word(reduced) == brute_reduce(seq)
+    if brute_reduce(seq) == seq:
+        assert reduced is word
