@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from itertools import chain
-from operator import mul
-from os.path import commonprefix
+from itertools import chain, compress, count, repeat
+from operator import add, mul, ne, sub
 
 from .element import Element, NonFiniteCoefficient
 from .randomgen import SplitMix64
@@ -49,9 +48,15 @@ def _finite(rows: tuple) -> tuple:
 
 
 class Matrix:
-    """Immutable, validated square real matrix; arithmetic beyond ``@`` works on ``rows``."""
+    """Immutable, validated square real matrix; arithmetic beyond ``@`` works on ``rows``.
 
-    __slots__ = ("dim", "rows")
+    It memoizes its inverse and its columns (read by ``@``), each with
+    the ``rows`` object it came from: the LU runs once per lifetime, a
+    reassigned ``rows`` is never served a stale form, and a singular
+    matrix stores nothing and raises on every call.
+    """
+
+    __slots__ = ("dim", "rows", "_inv", "_cols")
 
     def __init__(self, rows: Iterable[Iterable[float]]):
         rows = tuple(tuple(float(x) for x in row) for row in rows)
@@ -60,17 +65,19 @@ class Matrix:
             raise ValueError("matrix must be square and nonempty")
         self.dim = dim
         self.rows = _finite(rows)
+        self._inv = self._cols = (None, None)
 
     @classmethod
     def _from_rows(cls, rows: tuple) -> "Matrix":
         """Square float rows computed here; only their finiteness is checked."""
         matrix = object.__new__(cls)
         matrix.dim, matrix.rows = len(rows), _finite(rows)
+        matrix._inv = matrix._cols = (None, None)
         return matrix
 
     @classmethod
     def identity(cls, dim: int) -> "Matrix":
-        return cls(tuple(tuple(1.0 if r == c else 0.0 for c in range(dim)) for r in range(dim)))
+        return cls._from_rows(tuple(tuple(float(r == c) for c in range(dim)) for r in range(dim)))
 
     @classmethod
     def zeros(cls, dim: int) -> "Matrix":
@@ -90,20 +97,30 @@ class Matrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Matrix._from_rows(_matmul(self.rows, tuple(zip(*other.rows))))
+        return Matrix._from_rows(_matmul(self.rows, other._columns()))
+
+    def _columns(self) -> tuple:
+        """``rows`` transposed, computed once per ``rows`` object."""
+        rows = self.rows
+        if self._cols[0] is not rows:
+            self._cols = rows, tuple(zip(*rows))
+        return self._cols[1]
 
     def max_abs(self) -> float:
-        return max(abs(x) for row in self.rows for x in row)
+        return max(map(abs, chain.from_iterable(self.rows)))
 
     def inverse(self) -> "Matrix":
-        """Inverse via LU with partial pivoting.
+        """Inverse via LU with partial pivoting, computed once per ``rows`` object.
 
         A pivot whose magnitude is at most ``SINGULAR_PIVOT_RTOL`` times
         the largest input entry raises SingularMatrix.
         """
+        rows = self.rows
+        if self._inv[0] is rows:
+            return self._inv[1]
         n = self.dim
         threshold = SINGULAR_PIVOT_RTOL * self.max_abs()
-        lu = [list(row) for row in self.rows]
+        lu = [list(row) for row in rows]
         perm = list(range(n))
         for col in range(n):
             pivot_row = max(range(col, n), key=lambda r: abs(lu[r][col]))
@@ -132,7 +149,9 @@ class Matrix:
                     y[r] -= lu[r][c] * y[c]
                 y[r] /= lu[r][r]
             columns.append(y)
-        return Matrix._from_rows(tuple(zip(*columns)))
+        inv = Matrix._from_rows(tuple(zip(*columns)))
+        self._inv = rows, inv
+        return inv
 
     def to_jsonable(self) -> dict:
         return {"dim": self.dim, "rows": [list(row) for row in self.rows]}
@@ -166,17 +185,22 @@ def standard_normal_matrix(dim: int, rng: SplitMix64) -> Matrix:
 class MatrixAssignment(namedtuple("MatrixAssignment", "dim bindings diff_bindings")):
     """Bindings from generator letters (and differential tokens) to matrices.
 
-    Keys may be letters or indices; every bound matrix must be square of
-    the shared dimension.  Inverse letters evaluate through the matrix
-    inverse of their letter's binding, computed on demand.
+    ``dim`` is an int; keys may be letters or indices; every bound value
+    is a ``Matrix`` of the shared dimension.  Inverse letters evaluate
+    through the matrix inverse of their letter's binding, computed on
+    first use and then kept by the matrix.
     """
 
     __slots__ = ()
 
     def __new__(cls, dim: int, bindings: Mapping, diff_bindings: Mapping = ()):
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise TypeError(f"the assignment dimension must be an int, got {dim!r}")
         bindings = {letter_index(k): v for k, v in dict(bindings).items()}
         diffs = {letter_index(k): v for k, v in dict(diff_bindings).items()}
-        for matrix in [*bindings.values(), *diffs.values()]:
+        for key, matrix in [*bindings.items(), *((DIFF_BASE + k, m) for k, m in diffs.items())]:
+            if not isinstance(matrix, Matrix):
+                raise TypeError(f"{symbol_text(key)} is bound to a {type(matrix).__name__}, not a Matrix")
             if matrix.dim != dim:
                 raise ValueError("all bound matrices must share the assignment dimension")
         if dim < 1:
@@ -197,13 +221,13 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
     letter's binding cannot be inverted and NonFiniteCoefficient when
     the value overflows.
 
-    Each symbol's image (an inverse letter's through one LU inverse) is
-    built once per call, on first use.  Words come in ``terms()`` order,
-    so neighbours share long prefixes: each word reuses the stacked
-    products of the prefix it shares with the word before it.  Every
-    word is still the left fold ``M1 @ M2 @ ...``, added in the same
-    order, so the result is bitwise equal to folding each word from
-    scratch.
+    Each symbol's image is found once per call; an inverse letter's is
+    its binding's ``inverse()``, factored once per matrix lifetime.
+    Words come in ``terms()`` order, so neighbours share long prefixes:
+    each word reuses the stacked products of the prefix it shares with
+    the word before it.  Every word is still the left fold
+    ``M1 @ M2 @ ...``, added in the same order, so the result is
+    bitwise equal to folding each word from scratch.
     """
     return _evaluate(element, assignment, {})
 
@@ -211,11 +235,12 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
 def _evaluate(element: Element, assignment: MatrixAssignment, images: dict) -> Matrix:
     """``evaluate`` filling ``images``, a map from symbol rank to (rows, columns)."""
     dim = assignment.dim
-    total = [[0.0] * dim for _ in range(dim)]
+    total = [0.0] * (dim * dim)  # row-major
     prefix: list[tuple] = []  # prefix[k]: product of the first k+1 symbols of prev
     prev = b""
     for word, coeff in element._sorted():
-        shared = len(commonprefix((word, prev)))
+        # the index of the first difference, or the shorter length
+        shared = next(compress(count(), map(ne, word, prev)), min(len(word), len(prev)))
         del prefix[shared:]
         for rank in word[shared:]:
             if rank not in images:
@@ -224,9 +249,8 @@ def _evaluate(element: Element, assignment: MatrixAssignment, images: dict) -> M
             prefix.append(_matmul(prefix[-1], cols) if prefix else rows)
         product = prefix[-1] if word else Matrix.identity(dim).rows
         prev = word
-        for row, prow in zip(total, product):
-            row[:] = [t + p * coeff for t, p in zip(row, prow)]
-    return Matrix._from_rows(tuple(map(tuple, total)))
+        total = list(map(add, total, map(mul, chain.from_iterable(product), repeat(coeff))))
+    return Matrix._from_rows(tuple(zip(*[iter(total)] * dim)))
 
 
 def _image(sym: int, assignment: MatrixAssignment) -> tuple:
@@ -235,8 +259,8 @@ def _image(sym: int, assignment: MatrixAssignment) -> tuple:
     matrix = bindings.get(key % DIFF_BASE)
     if matrix is None:
         raise UnboundLetter(symbol_text(key))
-    rows = (matrix.inverse() if sym < 0 else matrix).rows
-    return rows, tuple(zip(*rows))
+    image = matrix.inverse() if sym < 0 else matrix
+    return image.rows, image._columns()
 
 
 HomomorphismReport = namedtuple("HomomorphismReport", "max_abs_residual max_rel_residual passed")
@@ -250,13 +274,13 @@ def homomorphism_check(
     With residual ``R`` being their difference, the check passes when
     ``max|R| <= tol * (1 + max|evaluate(a*b)|)``; the reported relative
     residual is ``max|R|`` divided by that scale.  The three evaluations
-    share one table of symbol images, built once per call, so each
-    inverse letter is factored once.
+    share one table of symbol images, filled once per call.
     """
     images: dict[int, tuple] = {}
     product = _evaluate(a, assignment, images) @ _evaluate(b, assignment, images)
     direct = _evaluate(a * b, assignment, images)
-    max_abs = max(abs(p - d) for pr, dr in zip(product.rows, direct.rows) for p, d in zip(pr, dr))
+    residual = map(sub, chain.from_iterable(product.rows), chain.from_iterable(direct.rows))
+    max_abs = max(map(abs, residual))
     scale = 1.0 + direct.max_abs()
     return HomomorphismReport(max_abs, max_abs / scale, max_abs <= tol * scale)
 

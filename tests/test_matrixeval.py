@@ -315,3 +315,51 @@ def test_computed_matrices_are_checked_for_finiteness():
         evaluate(10**300 * parse("x"), MatrixAssignment(1, {"x": Matrix([[1e10]])}))
     with pytest.raises(NonFiniteCoefficient):
         homomorphism_check(parse("x"), parse("x"), MatrixAssignment(1, {"x": huge}))
+
+
+def test_assignment_checks_dim_and_binding_types():
+    m = Matrix.identity(2)
+    with pytest.raises(TypeError, match="dimension must be an int"):
+        MatrixAssignment(2.0, {"x": m})
+    with pytest.raises(TypeError, match="dimension must be an int"):
+        MatrixAssignment(True, {"x": Matrix([[1.0]])})
+    with pytest.raises(TypeError, match="x is bound to a list"):
+        MatrixAssignment(2, {"x": [[1, 0], [0, 1]]})
+    with pytest.raises(TypeError, match=r"\(dy\) is bound to a tuple"):
+        MatrixAssignment(2, {"x": m}, {"y": ((1.0, 0.0), (0.0, 1.0))})
+
+
+def test_inverse_is_computed_once_per_rows():
+    m = standard_normal_matrix(3, SplitMix64(5))
+    assert m.inverse() is m.inverse()
+    singular = Matrix([[1.0, 2.0], [2.0, 4.0]])
+    for _ in range(2):  # nothing is stored for a singular matrix
+        with pytest.raises(SingularMatrix):
+            singular.inverse()
+    first, old_product = m.inverse(), Matrix.identity(3) @ m  # both memoized
+    m.rows = standard_normal_matrix(3, SplitMix64(6)).rows
+    assert m.inverse() is not first
+    assert _rel_diff(m @ m.inverse(), Matrix.identity(3)) <= 1e-9
+    assert (Matrix.identity(3) @ m).rows == m.rows != old_product.rows
+
+
+def _hexed(result):
+    """float.hex of every entry of a matrix, or the repr of a report."""
+    if isinstance(result, Matrix):
+        return [x.hex() for row in result.rows for x in row]
+    return repr(result)
+
+
+@given(prefix_sharing_elements(), prefix_sharing_elements(), st.integers(1, 4), st.integers(0, 2**32))
+def test_warm_assignment_gives_the_cold_results(a, b, dim, seed):
+    def results(assignment):
+        return [
+            _hexed(_outcome(evaluate, a, assignment)),
+            _hexed(_outcome(evaluate, a * b, assignment)),
+            _hexed(_outcome(homomorphism_check, a, b, assignment)),
+        ]
+
+    warm = random_assignment("ab", dim, seed, diff_letters="ab")
+    homomorphism_check(b, a, warm)  # fills the bound matrices' memos
+    homomorphism_check(a, b, warm)
+    assert results(warm) == results(random_assignment("ab", dim, seed, diff_letters="ab"))
