@@ -14,12 +14,14 @@ A ``^`` power, a session ``*`` product or bracket and a session or batch
 size rule of ``deriv`` and ``subs``); the session also refuses nesting
 deeper than ``MAX_NESTING``.
 
-Exit codes: 0 success, 1 failed check, 2 parse error, 3 evaluation
-error (unbound generator, singular matrix, non-invertible replacement,
-non-finite coefficient or matrix entry, a result past ``POWER_LIMIT``),
-4 usage error (including an unreadable ``--matrices`` file, a ``--dim``
-below 1 or above 100, where dim**3 passes ``POWER_LIMIT``, a negative or
-non-finite ``--tol`` and ``rand`` sizes past ``POWER_LIMIT``).
+Exit codes: 0 success, 1 failed check, 2 parse error (a ``--matrices``
+fixture too, e.g. one with a repeated key or keys other than ``bindings``
+and ``diff_bindings``), 3 evaluation error (unbound generator, singular
+matrix, non-invertible replacement, non-finite coefficient or matrix
+entry, a result past ``POWER_LIMIT``), 4 usage error (an unreadable
+``--matrices`` file, ``--seed`` with ``--matrices``, a ``--dim`` or
+fixture dimension whose dim**3 is not within 1..``POWER_LIMIT``, a
+negative or non-finite ``--tol``, ``rand`` sizes past ``POWER_LIMIT``).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .parsing import (
     parse,
     tokenize,
 )
-from .textio import canonical_print, to_json
+from .textio import _load_json, canonical_print, to_json
 from .words import letter_index
 
 EXIT_OK = 0
@@ -345,23 +347,19 @@ def _cmd_json(args) -> int:
 
 
 def _cmd_matcheck(args) -> int:
-    # each matrix product takes dim**3 multiply-adds in pure Python
-    if args.dim is not None and not 1 <= args.dim**3 <= POWER_LIMIT:
-        return _usage_error(f"--dim must be at least 1, with dim**3 at most {POWER_LIMIT}, got {args.dim}")
     if not 0 <= args.tol < math.inf:
         return _usage_error(f"--tol must be finite and not negative, got {args.tol}")
     a = _parse(args.expr_a)
     b = _parse(args.expr_b)
-    if args.matrices is not None:
-        try:
-            assignment = _load_assignment(args.matrices, args.dim)
-        except OSError as exc:
-            return _usage_error(f"cannot read {args.matrices}: {exc.strerror or exc}")
-    else:
-        if args.seed is None:
-            return _usage_error("either --seed or --matrices is required")
-        letters = sorted(a.letters() | b.letters())
-        assignment = ncpoly.random_assignment(letters, 5 if args.dim is None else args.dim, args.seed)
+    assignment = None if args.matrices is None else _load_assignment(args.matrices)
+    dim = (5 if args.dim is None else args.dim) if assignment is None else assignment.dim
+    if args.dim not in (None, dim):
+        raise ParseError(0, f"{args.matrices}: the matrices are {dim}x{dim}, not --dim {args.dim}", UNEXPECTED_CHAR)
+    # each matrix product takes dim**3 multiply-adds in pure Python, however dim was given
+    if not 1 <= dim**3 <= POWER_LIMIT:
+        return _usage_error(f"the matrix dimension must be at least 1, with dim**3 at most {POWER_LIMIT}, got {dim}")
+    if assignment is None:
+        assignment = ncpoly.random_assignment(sorted(a.letters() | b.letters()), dim, args.seed)
     _check_product(a, b)
     report = ncpoly.homomorphism_check(a, b, assignment, args.tol)
     status = "PASS" if report.passed else "FAIL"
@@ -369,34 +367,17 @@ def _cmd_matcheck(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _load_assignment(path: str, dim: int | None) -> ncpoly.MatrixAssignment:
-    """Read a matrix fixture: {"bindings": {letter: matrix}, "diff_bindings": {...}}
-    with each matrix in the {"dim": n, "rows": [[...], ...]} form."""
+def _load_assignment(path: str) -> ncpoly.MatrixAssignment:
+    """Read a ``--matrices`` fixture; an OSError exits 4, any other error is a ParseError naming the path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return ncpoly.MatrixAssignment.from_jsonable(_load_json(handle.read()))
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cannot read {path}: {exc.strerror or exc}")) from None
     except UnicodeDecodeError:
         raise ParseError(0, f"{path} is not UTF-8 text", UNEXPECTED_CHAR) from None
-    import json
-
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.pos, f"invalid JSON in {path}: {exc.msg}", UNEXPECTED_CHAR) from None
-    if not isinstance(obj, dict) or "bindings" not in obj or not isinstance(obj["bindings"], dict):
-        raise ParseError(0, f'{path}: expected {{"bindings": {{...}}}}', UNEXPECTED_CHAR)
-    if not isinstance(obj.get("diff_bindings", {}), dict):
-        raise ParseError(0, f'{path}: "diff_bindings" must be an object', UNEXPECTED_CHAR)
-    try:
-        bindings = {name: ncpoly.Matrix.from_jsonable(m) for name, m in obj["bindings"].items()}
-        diffs = {
-            name: ncpoly.Matrix.from_jsonable(m)
-            for name, m in obj.get("diff_bindings", {}).items()
-        }
-        matrices = [*bindings.values(), *diffs.values()]
-        if not matrices:
-            raise ValueError("fixture binds no matrices")
-        return ncpoly.MatrixAssignment(matrices[0].dim if dim is None else dim, bindings, diffs)
+    except ParseError as exc:
+        raise ParseError(exc.position, f"{path}: {exc.message}", exc.kind) from None
     except ValueError as exc:
         raise ParseError(0, f"{path}: {exc}", UNEXPECTED_CHAR) from None
 
@@ -437,9 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr_a")
     p.add_argument("expr_b")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--matrices", default=None, help="JSON fixture with explicit matrix bindings")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--seed", type=int)
+    source.add_argument("--matrices", help="JSON fixture with explicit matrix bindings")
     p.set_defaults(func=_cmd_matcheck)
 
     p = sub.add_parser("json", help="print the JSON form of an element")

@@ -137,6 +137,10 @@ class Element:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def __reduce__(self):
+        # a pickle holds the public form only, and loads through the checked constructor
+        return Element, (self.terms(),)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, Element):
             return self._terms == other._terms

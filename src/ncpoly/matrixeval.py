@@ -83,6 +83,10 @@ class Matrix:
     def zeros(cls, dim: int) -> "Matrix":
         return cls(tuple((0.0,) * dim for _ in range(dim)))
 
+    def __reduce__(self):
+        # a pickle holds the public form only, and loads through the checked constructor
+        return Matrix, (self.rows,)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
 
@@ -161,17 +165,18 @@ class Matrix:
         if (
             not isinstance(obj, dict)
             or set(obj) != {"dim", "rows"}
-            or isinstance(obj["dim"], bool)
-            or not isinstance(obj["dim"], int)
+            or type(obj["dim"]) is not int  # not a bool
             or not isinstance(obj["rows"], list)
             or not all(isinstance(row, list) for row in obj["rows"])
         ):
             raise ValueError('matrix must be {"dim": n, "rows": [[...], ...]}')
-        for row in obj["rows"]:
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise ValueError(f"matrix entries must be numbers, got {x!r}")
-        matrix = cls(obj["rows"])
+        for x in chain.from_iterable(obj["rows"]):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"matrix entries must be numbers, got {x!r}")
+        try:
+            matrix = cls(obj["rows"])
+        except OverflowError:  # an integer past the float range
+            raise NonFiniteCoefficient("matrix entries must be finite") from None
         if matrix.dim != obj["dim"]:
             raise ValueError(f"rows do not form a {obj['dim']}x{obj['dim']} matrix")
         return matrix
@@ -209,6 +214,16 @@ class MatrixAssignment(namedtuple("MatrixAssignment", "dim bindings diff_binding
 
     # _replace goes through _make, which would otherwise skip __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    @classmethod
+    def from_jsonable(cls, obj) -> "MatrixAssignment":
+        """A ``matcheck --matrices`` fixture: ``{"bindings": {letter: matrix}}``, ``"diff_bindings"`` optional."""
+        if not isinstance(obj, dict) or not {"bindings"} <= obj.keys() <= {"bindings", "diff_bindings"} or {*map(type, obj.values())} != {dict}:
+            raise ValueError('fixture must be {"bindings": {...}}, with an optional "diff_bindings": {...}')
+        bindings, diffs = ({k: Matrix.from_jsonable(m) for k, m in obj.get(key, {}).items()} for key in ("bindings", "diff_bindings"))
+        if not (bindings or diffs):
+            raise ValueError("fixture binds no matrices")
+        return cls([*bindings.values(), *diffs.values()][0].dim, bindings, diffs)
 
 
 def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:

@@ -72,20 +72,39 @@ def to_json(element: Element) -> str:
     return f'{{"terms":[{terms}]}}'
 
 
-def from_json(text: str) -> Element:
-    """Rebuild an element from its JSON form, normalizing on the way in.
+def _unique_keys(pairs: list) -> dict:
+    """The ``object_pairs_hook`` of every document: a repeated key is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(0, f"repeated key {key!r}", UNEXPECTED_CHAR)
+    return obj
 
-    Raises ParseError on malformed JSON, schema violations, word entries
-    that are not in the symbol table and non-numeric coefficients.
-    """
+
+def _load_json(text: str):
+    """The one JSON document reader: every way it can fail, a repeated key included, is a ParseError."""
     import json
 
     try:
-        obj = json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.pos, f"invalid JSON: {exc.msg}", UNEXPECTED_CHAR) from None
+    except RecursionError:
+        raise ParseError(0, "invalid JSON: nested too deeply", UNEXPECTED_CHAR) from None
+    except ParseError:  # a repeated key, from _unique_keys
+        raise
     except ValueError as exc:  # an integer too long for int(), see sys.set_int_max_str_digits
         raise ParseError(0, f"invalid JSON number: {exc}", BAD_NUMBER) from None
+
+
+def from_json(text: str) -> Element:
+    """Rebuild an element from its JSON form, normalizing on the way in.
+
+    Raises ParseError on malformed JSON, a repeated key, schema violations, word entries
+    that are not in the symbol table and non-numeric coefficients.
+    """
+    obj = _load_json(text)
     if not isinstance(obj, dict) or set(obj) != {"terms"} or not isinstance(obj["terms"], list):
         raise ParseError(0, 'expected an object of the form {"terms": [...]}', UNEXPECTED_CHAR)
     terms: dict[bytes, float] = {}

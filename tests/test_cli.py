@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpoly import Element, canonical_print, derivative, from_json, parse
@@ -19,6 +20,7 @@ from ncpoly.cli import (
     SessionError,
     UnknownName,
     evaluate_expression,
+    main,
     run_command,
     run_repl,
 )
@@ -313,6 +315,110 @@ def test_matcheck_unreadable_matrices_are_input_errors(tmp_path):
         assert result.returncode == EXIT_PARSE_ERROR, fixture
         assert result.stderr.splitlines() == [result.stderr.strip()]
         assert result.stderr.startswith("error:")
+
+
+_IDENTITY_2 = json.dumps(_matrix(2))
+MALFORMED_FIXTURES = {
+    # json.loads raised RecursionError, and a 5,000-digit integer ValueError
+    "deep": "[" * 100_000 + "]" * 100_000,
+    "digits": '{"bindings": {"x": {"dim": 1, "rows": [[1' + "0" * 5000 + "]]}}}",
+    # an integer past the float range is a non-finite entry, like NaN
+    "overflow": '{"bindings": {"x": {"dim": 1, "rows": [[1' + "0" * 400 + "]]}}}",
+    # the last binding of a repeated key won, and unknown keys were ignored
+    "repeated": f'{{"bindings": {{"x": {_IDENTITY_2}, "x": {_IDENTITY_2}}}}}',
+    "repeated-top": f'{{"bindings": {{"x": {_IDENTITY_2}}}, "bindings": {{"x": {_IDENTITY_2}}}}}',
+    "unknown": f'{{"bindings": {{"x": {_IDENTITY_2}}}, "bindngs": {{}}}}',
+    "empty": '{"bindings": {}, "diff_bindings": {}}',
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FIXTURES)
+def test_matcheck_malformed_fixtures_exit_2(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(MALFORMED_FIXTURES[name])
+    result = run_cli("matcheck", "x", "x", "--matrices", str(path))
+    assert (result.returncode, result.stdout) == (EXIT_PARSE_ERROR, "")
+    assert result.stderr.splitlines() == [result.stderr.strip()]
+    assert result.stderr.startswith(f"error: {path}: ")
+
+
+def test_matcheck_fixture_dimension_is_capped_like_dim(tmp_path):
+    # dim**3 past POWER_LIMIT, however the dimension was given
+    path = tmp_path / "dim101.json"
+    path.write_text(json.dumps({"bindings": {"x": _matrix(101)}}))
+    for extra in ((), ("--dim", "101")):
+        result = run_cli("matcheck", "x", "x", "--matrices", str(path), *extra)
+        assert (result.returncode, result.stdout) == (EXIT_USAGE_ERROR, ""), extra
+        assert "dim**3 at most 1000000, got 101" in result.stderr
+
+
+def test_matcheck_takes_one_source_of_matrices(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({"bindings": {"x": _matrix(2)}}))
+    result = run_cli("matcheck", "x", "x", "--seed", "3", "--matrices", str(path))
+    assert (result.returncode, result.stdout) == (EXIT_USAGE_ERROR, "")
+    assert "not allowed with argument" in result.stderr
+
+
+def _json_object(pairs):
+    """Object text from (key, value text) pairs, kept as given: keys may repeat."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs) + "}"
+
+
+_ENTRIES = ["0", "-2.5", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "1" + "0" * 5000]
+_FAULTS = (
+    "odd entry", "other dim", "wrong dim field", "repeated letter", "bad letter", "no bindings",
+    "diff_bindings", "repeated bindings", "unknown key", "nested", "not utf-8",
+)
+
+
+@st.composite
+def fixture_files(draw):
+    """Bytes of a --matrices file of identity matrices, with up to three of its ways to go bad."""
+    faults = draw(st.sets(st.sampled_from(_FAULTS), max_size=3))
+    dim = draw(st.integers(1, 3) | st.integers(0, 120))
+    names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+    if "repeated letter" in faults:
+        names.append(names[0])
+    if "bad letter" in faults:
+        names.append(draw(st.sampled_from(["X", "xx"])))
+    sizes = [dim] * len(names)
+    if "other dim" in faults:
+        sizes[-1] = draw(st.integers(0, 120))
+    matrices = []
+    for size in sizes:
+        rows = [["1" if r == c else "0" for c in range(size)] for r in range(size)]
+        if size and "odd entry" in faults:
+            rows[draw(st.integers(0, size - 1))][draw(st.integers(0, size - 1))] = draw(st.sampled_from(_ENTRIES))
+        shown = size + 1 if "wrong dim field" in faults else size
+        matrices.append(_json_object([("dim", str(shown)), ("rows", json.dumps(rows).replace('"', ""))]))
+    bindings = _json_object(zip(names, matrices))
+    pairs = [("bindings", "{}" if "no bindings" in faults else bindings)]
+    pairs += [(key, bindings) for key in ("diff_bindings", "repeated bindings", "unknown key") if key in faults]
+    text = _json_object([(key.split()[-1], value) for key, value in pairs])
+    depth = draw(st.sampled_from([1, 999, 100_000])) if "nested" in faults else 0
+    data = ("[" * depth + text + "]" * depth).encode()
+    if "not utf-8" in faults:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixture_files(), st.sampled_from([("x", "x"), ("xY", "yx"), ("X", "zx")]), st.sampled_from([(), (), ("--dim", "2")]))
+def test_matcheck_fixtures_fail_only_with_a_documented_code(tmp_path_factory, data, exprs, dim):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-fixture.json"
+    path.write_bytes(data)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["matcheck", *exprs, "--matrices", str(path), *dim])
+    if code in (EXIT_OK, EXIT_CHECK_FAILED):
+        assert len(stdout.getvalue().splitlines()) == 1
+        assert stdout.getvalue().startswith(("PASS", "FAIL"))
+    else:
+        assert code in (EXIT_PARSE_ERROR, EXIT_EVAL_ERROR, EXIT_USAGE_ERROR)
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().count("error:") == 1
 
 
 def test_parse_errors_exit_2():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -183,6 +185,14 @@ def test_non_finite_coefficients_are_rejected():
     # finite values whose sum overflows are still finite coefficients
     assert len(Element({(1,): 1e308, (2,): 1e308})) == 2
     assert isinstance(NonFiniteCoefficient(), ArithmeticError)
+
+
+def test_pickle_goes_through_the_public_form(paper):
+    for element in (*paper, Element.zero(), Element({(1, 101, -2): 2.5, (): 0.1})):
+        loaded = pickle.loads(pickle.dumps(element))
+        assert loaded == element and loaded.terms() == element.terms()
+    # the pickle names the public constructor and holds decoded words, not stored bytes
+    assert paper[0].__reduce__() == (Element, (paper[0].terms(),))
 
 
 def test_operations_do_not_mutate_inputs(paper):

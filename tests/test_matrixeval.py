@@ -84,6 +84,48 @@ def test_matrix_json_forms():
             Matrix.from_jsonable(bad)
 
 
+def test_matrix_json_entries_past_the_float_range_are_not_finite():
+    # float() of the integer overflows; that is a non-finite entry, a ValueError
+    for entry in (10**400, -(10**400)):
+        with pytest.raises(NonFiniteCoefficient, match="finite"):
+            Matrix.from_jsonable({"dim": 1, "rows": [[entry]]})
+
+
+def test_matrix_pickle_loads_through_the_constructor():
+    m = Matrix([[2.0, 1.0], [1.0, 3.0]])
+    inverse = m.inverse()
+    loaded = pickle.loads(pickle.dumps(m))
+    assert loaded == m and loaded._inv == (None, None)
+    assert loaded.inverse() == inverse
+    assert m.__reduce__() == (Matrix, (m.rows,))
+
+
+def test_assignment_json_form():
+    x, d = Matrix([[1, 2], [3, 4]]), Matrix.identity(2)
+    mx, md = x.to_jsonable(), d.to_jsonable()
+    assert MatrixAssignment.from_jsonable({"bindings": {"x": mx}}) == MatrixAssignment(2, {"x": x})
+    assert MatrixAssignment.from_jsonable({"bindings": {"x": mx}, "diff_bindings": {"y": md}}) == (
+        MatrixAssignment(2, {"x": x}, {"y": d})
+    )
+    # the dimension comes from the matrices, so a fixture must bind one
+    assert MatrixAssignment.from_jsonable({"bindings": {}, "diff_bindings": {"a": md}}).dim == 2
+    for bad in (
+        [],
+        {},
+        {"diff_bindings": {"x": mx}},
+        {"bindings": {"x": mx}, "extra": {}},
+        {"bindings": []},
+        {"bindings": {"x": mx}, "diff_bindings": []},
+        {"bindings": {}},
+        {"bindings": {}, "diff_bindings": {}},
+        {"bindings": {"X": mx}},
+        {"bindings": {"x": mx, "y": Matrix.identity(3).to_jsonable()}},
+        {"bindings": {"x": {"dim": 1, "rows": [[float("nan")]]}}},
+    ):
+        with pytest.raises(ValueError):
+            MatrixAssignment.from_jsonable(bad)
+
+
 def test_assignment_validation_and_key_forms():
     m = Matrix.identity(2)
     by_name = MatrixAssignment(2, {"x": m})

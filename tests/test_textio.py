@@ -181,6 +181,20 @@ def test_from_json_errors_keep_their_kind_position_and_message(text, kind, posit
     assert (excinfo.value.kind, excinfo.value.position, excinfo.value.message) == (kind, position, message)
 
 
+def test_from_json_refuses_deep_nesting_and_repeated_keys():
+    # json.loads would raise RecursionError, or let the last "coeff" win
+    for text, message in (
+        ("[" * 5000 + "]" * 5000, "invalid JSON: nested too deeply"),
+        ('{"terms":[{"word":[1],"coeff":1,"coeff":2}]}', "repeated key 'coeff'"),
+        ('{"terms":[],"terms":[]}', "repeated key 'terms'"),
+    ):
+        with pytest.raises(ParseError) as excinfo:
+            from_json(text)
+        assert (excinfo.value.kind, excinfo.value.position, excinfo.value.message) == (UNEXPECTED_CHAR, 0, message)
+    # a repeated word is two terms, not a repeated key: they still sum
+    assert from_json('{"terms":[{"word":[1],"coeff":1},{"word":[1],"coeff":2}]}') == parse("3a")
+
+
 json_entries = st.one_of(
     st.integers(-28, 28),
     st.sampled_from(["da", "dq", "dz"]),
