@@ -28,8 +28,9 @@ def substitute(element: Element, pairs=None, /, **named) -> Element:
     An inverse occurrence becomes ``(1/c) * w^-1`` and needs a one-term
     replacement ``c*w`` whose word has no differential token: a word with
     an inverse occurrence raises NonInvertibleReplacement under any other
-    replacement.  Cost: one pass over each word for a one-term replacement,
-    otherwise within a constant factor of the output.
+    replacement, before any term is computed.  Cost: one pass over each
+    word for a one-term replacement, otherwise within a constant factor
+    of the output.
     """
     for target, replacement in [*(pairs or ()), *named.items()]:
         element = _substitute_one(element, letter_index(target), _as_element(replacement))
@@ -116,17 +117,17 @@ def _substitute_one(element: Element, target: int, replacement: Element) -> Elem
         pieces[up], factors[up] = image, c
         with suppress(ValueError):  # a word with a differential token has no inverse
             pieces[down], factors[down] = invert_stored(image), 1.0 / c
+    if pieces[down] is None and any(down in word for word in element._terms):
+        raise NonInvertibleReplacement(
+            "an inverse occurrence needs a one-term replacement free of differential tokens"
+        )
     out: dict[bytes, float] = {}
     for word, coeff in element._sorted():
-        if down in word and pieces[down] is None:
-            raise NonInvertibleReplacement(
-                "an inverse occurrence needs a one-term replacement free of differential tokens"
-            )
         if len(replacement) == 1:
             # free reduction is confluent: one pass over the joined pieces gives their reduced product,
             # and a factor 1.0 is exact, so the coefficient takes the image factors in occurrence order
             new = reduce_checked(b"".join(map(pieces.__getitem__, word)))
-            acc = Element._from_reduced({new: math.prod(map(factors.__getitem__, word), start=coeff)})._terms
+            acc = {new: math.prod(map(factors.__getitem__, word), start=coeff)}
         else:
             # zero or several terms: expand occurrence by occurrence
             runs = word.split(bytes((up,)))

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from itertools import chain, compress, count, repeat
-from operator import add, mul, ne, sub
+from operator import add, attrgetter, mul, ne, sub
 
 from .element import Element, NonFiniteCoefficient
 from .randomgen import SplitMix64
@@ -50,30 +50,31 @@ def _finite(rows: tuple) -> tuple:
 class Matrix:
     """Immutable, validated square real matrix; arithmetic beyond ``@`` works on ``rows``.
 
-    It memoizes its inverse and its columns (read by ``@``), each with
-    the ``rows`` object it came from: the LU runs once per lifetime, a
-    reassigned ``rows`` is never served a stale form, and a singular
-    matrix stores nothing and raises on every call.
+    ``rows`` and ``dim`` are read-only.  It memoizes its inverse and its
+    columns (read by ``@``), each filled at most once: the LU runs once
+    per lifetime, and a singular matrix stores nothing and raises on
+    every call.
     """
 
-    __slots__ = ("dim", "rows", "_inv", "_cols")
+    __slots__ = ("_rows", "_inv", "_cols")
 
     def __init__(self, rows: Iterable[Iterable[float]]):
         rows = tuple(tuple(float(x) for x in row) for row in rows)
-        dim = len(rows)
-        if dim == 0 or any(len(row) != dim for row in rows):
+        if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        self.dim = dim
-        self.rows = _finite(rows)
-        self._inv = self._cols = (None, None)
+        self._rows = _finite(rows)
+        self._inv = self._cols = None
 
     @classmethod
     def _from_rows(cls, rows: tuple) -> "Matrix":
         """Square float rows computed here; only their finiteness is checked."""
         matrix = object.__new__(cls)
-        matrix.dim, matrix.rows = len(rows), _finite(rows)
-        matrix._inv = matrix._cols = (None, None)
+        matrix._rows = _finite(rows)
+        matrix._inv = matrix._cols = None
         return matrix
+
+    rows = property(attrgetter("_rows"), doc="The entries, a tuple of row tuples of floats.")
+    dim = property(lambda self: len(self._rows), doc="The number of rows, and of columns.")
 
     @classmethod
     def identity(cls, dim: int) -> "Matrix":
@@ -104,27 +105,25 @@ class Matrix:
         return Matrix._from_rows(_matmul(self.rows, other._columns()))
 
     def _columns(self) -> tuple:
-        """``rows`` transposed, computed once per ``rows`` object."""
-        rows = self.rows
-        if self._cols[0] is not rows:
-            self._cols = rows, tuple(zip(*rows))
-        return self._cols[1]
+        """``rows`` transposed, computed once."""
+        if self._cols is None:
+            self._cols = tuple(zip(*self.rows))
+        return self._cols
 
     def max_abs(self) -> float:
         return max(map(abs, chain.from_iterable(self.rows)))
 
     def inverse(self) -> "Matrix":
-        """Inverse via LU with partial pivoting, computed once per ``rows`` object.
+        """Inverse via LU with partial pivoting, computed once.
 
         A pivot whose magnitude is at most ``SINGULAR_PIVOT_RTOL`` times
         the largest input entry raises SingularMatrix.
         """
-        rows = self.rows
-        if self._inv[0] is rows:
-            return self._inv[1]
+        if self._inv is not None:
+            return self._inv
         n = self.dim
         threshold = SINGULAR_PIVOT_RTOL * self.max_abs()
-        lu = [list(row) for row in rows]
+        lu = [list(row) for row in self.rows]
         perm = list(range(n))
         for col in range(n):
             pivot_row = max(range(col, n), key=lambda r: abs(lu[r][col]))
@@ -153,9 +152,8 @@ class Matrix:
                     y[r] -= lu[r][c] * y[c]
                 y[r] /= lu[r][r]
             columns.append(y)
-        inv = Matrix._from_rows(tuple(zip(*columns)))
-        self._inv = rows, inv
-        return inv
+        self._inv = Matrix._from_rows(tuple(zip(*columns)))
+        return self._inv
 
     def to_jsonable(self) -> dict:
         return {"dim": self.dim, "rows": [list(row) for row in self.rows]}
@@ -244,12 +242,8 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
     ``M1 @ M2 @ ...``, added in the same order, so the result is
     bitwise equal to folding each word from scratch.
     """
-    return _evaluate(element, assignment, {})
-
-
-def _evaluate(element: Element, assignment: MatrixAssignment, images: dict) -> Matrix:
-    """``evaluate`` filling ``images``, a map from symbol rank to (rows, columns)."""
     dim = assignment.dim
+    images: dict[int, tuple] = {}  # symbol rank -> (rows, columns)
     total = [0.0] * (dim * dim)  # row-major
     prefix: list[tuple] = []  # prefix[k]: product of the first k+1 symbols of prev
     prev = b""
@@ -288,12 +282,11 @@ def homomorphism_check(
 
     With residual ``R`` being their difference, the check passes when
     ``max|R| <= tol * (1 + max|evaluate(a*b)|)``; the reported relative
-    residual is ``max|R|`` divided by that scale.  The three evaluations
-    share one table of symbol images, filled once per call.
+    residual is ``max|R|`` divided by that scale.  Each bound matrix
+    keeps its inverse, so the three evaluations factor a binding once.
     """
-    images: dict[int, tuple] = {}
-    product = _evaluate(a, assignment, images) @ _evaluate(b, assignment, images)
-    direct = _evaluate(a * b, assignment, images)
+    product = evaluate(a, assignment) @ evaluate(b, assignment)
+    direct = evaluate(a * b, assignment)
     residual = map(sub, chain.from_iterable(product.rows), chain.from_iterable(direct.rows))
     max_abs = max(map(abs, residual))
     scale = 1.0 + direct.max_abs()

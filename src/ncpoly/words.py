@@ -51,6 +51,8 @@ _RANK: dict[int, int] = {sym: rank for rank, sym in enumerate(SYMBOLS)}
 # inverse letter, 255 (no rank) for a differential token (a bytes.translate table)
 _RANK_TEXT = tuple(_TEXT.values())
 _INVERSE = bytes(_RANK.get(-sym, 255) for sym in SYMBOLS).ljust(256, b"\xff")
+# by rank: the symbol code as a signed byte (-26..126 fit), a bytes.translate table
+_SIGNED = bytes(sym & 0xFF for sym in SYMBOLS).ljust(256, b"\0")
 # by ASCII code: the rank of a letter, 255 for any other character
 _LETTER_RANK = bytes(_RANK[_CODE[ch]] if ch in _CODE else 255 for ch in map(chr, range(256)))
 
@@ -107,7 +109,7 @@ word_sort_key = encode_word  # a stored word is its own sort key; a prefix sorts
 
 def decode_word(word: bytes) -> tuple[int, ...]:
     """The public form of a stored word: its tuple of symbol codes."""
-    return tuple(map(SYMBOLS.__getitem__, word))
+    return tuple(memoryview(word.translate(_SIGNED)).cast("b"))
 
 
 def word_text(word: bytes, table: tuple[str, ...] = _RANK_TEXT) -> str:

@@ -73,6 +73,14 @@ def test_noninvertible_replacement_raises():
         substitute(parse("X"), x=derivative(parse("x"), "x"))
 
 
+def test_an_inverse_occurrence_is_refused_before_any_arithmetic():
+    # "Ba" sorts before "bA", and its coefficient overflows under either replacement
+    element = 1e300 * parse("Ba") + parse("bA")
+    for replacement in (1e10 * derivative(parse("a"), "a"), 1e300 * parse("c + d")):
+        with pytest.raises(NonInvertibleReplacement):
+            substitute(element, a=replacement)
+
+
 def test_multiterm_replacement_fine_without_inverse_occurrences():
     assert substitute(parse("xy"), x="a+b") == parse("ay + by")
 

@@ -43,6 +43,7 @@ def test_construction_normalizes():
         Element.constant(-0.0),
         Element.from_word("x", 0.0),
         derivative(Element({(1, 101): 1.0, (101, 1): -1.0}), "a"),
+        substitute(1e-300 * parse("a"), a=1e-300 * parse("b")),
         substitute(parse("a - b"), a="b"),
     )
     for value in cancelled:
@@ -182,6 +183,8 @@ def test_non_finite_coefficients_are_rejected():
                     value()
     with pytest.raises(NonFiniteCoefficient):
         parse("2x") ** 1100
+    with pytest.raises(NonFiniteCoefficient):
+        substitute(parse("b") + 1e300 * parse("ab"), a=1e10 * parse("c"))
     # finite values whose sum overflows are still finite coefficients
     assert len(Element({(1,): 1e308, (2,): 1e308})) == 2
     assert isinstance(NonFiniteCoefficient(), ArithmeticError)

@@ -3,6 +3,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncpoly.words import (
+    SYMBOLS,
     check_symbol,
     decode_word,
     differential,
@@ -154,6 +155,13 @@ def test_seam_join_matches_bruteforce_oracle(left, right):
 def test_stored_words_round_trip(seq):
     word = brute_reduce(seq)
     assert decode_word(word_sort_key(word)) == word
+
+
+def test_decode_word_reads_every_rank():
+    assert decode_word(b"") == ()
+    # every rank in one word, and in reverse, against a lookup in SYMBOLS
+    for word in (bytes(range(len(SYMBOLS))), bytes(range(len(SYMBOLS)))[::-1]):
+        assert decode_word(word) == tuple(SYMBOLS[rank] for rank in word)
 
 
 @given(raw_sequences)
