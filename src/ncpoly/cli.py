@@ -22,6 +22,8 @@ entry, a result past ``POWER_LIMIT``), 4 usage error (an unreadable
 ``--matrices`` file, ``--seed`` with ``--matrices``, a ``--dim`` or
 fixture dimension whose dim**3 is not within 1..``POWER_LIMIT``, a
 negative or non-finite ``--tol``, ``rand`` sizes past ``POWER_LIMIT``).
+Each usage error prints one ``ncpoly: error:`` line; argparse's own
+errors print the usage first.  Only ``main`` maps an exception to a code.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_EVAL_ERROR = 3
 EXIT_USAGE_ERROR = 4
+
+# errors a session line reports and goes past; a batch command exits 3 (2 if ParseError)
+EVAL_ERRORS = (ValueError, LookupError, ArithmeticError)
 
 RESERVED_FUNCTIONS = ("deriv", "subs")
 
@@ -265,7 +270,7 @@ def run_repl(stdin=None, stdout=None) -> int:
             return EXIT_OK
         try:
             output = run_command(line.rstrip("\r\n"), session)
-        except (ValueError, LookupError, ArithmeticError) as exc:
+        except EVAL_ERRORS as exc:
             output = f"error: {exc}"
         if output is not None:
             stdout.write(output + "\n")
@@ -275,16 +280,15 @@ def run_repl(stdin=None, stdout=None) -> int:
 # batch subcommands
 
 
+class UsageError(Exception):
+    """A batch argument or ``--matrices`` file that cannot be used; ``main`` exits 4."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse defaults to exit code 2, which is reserved for parse errors here
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _usage_error(message: str) -> int:
-    print(f"ncpoly: error: {message}", file=sys.stderr)
-    return EXIT_USAGE_ERROR
 
 
 def _parse(text: str) -> Element:
@@ -296,31 +300,29 @@ def _parse(text: str) -> Element:
         raise
 
 
+def _letter(text: str) -> int:
+    """A batch LETTER argument, or UsageError."""
+    try:
+        return letter_index(text)
+    except ValueError:
+        raise UsageError(f"LETTER must be a single lowercase letter, got {text!r}") from None
+
+
 def _cmd_eval(args) -> int:
     print(canonical_print(_parse(args.expr)))
     return EXIT_OK
 
 
 def _cmd_deriv(args) -> int:
-    try:
-        letter = letter_index(args.letter)
-    except ValueError:
-        return _usage_error(f"LETTER must be a single lowercase letter, got {args.letter!r}")
+    letter = _letter(args.letter)
     print(canonical_print(ncpoly.calculus._bounded_derivative(_parse(args.expr), letter)))
     return EXIT_OK
 
 
 def _cmd_subs(args) -> int:
     if len(args.pairs) % 2 != 0:
-        return _usage_error("substitutions come in LETTER REPLACEMENT pairs")
-    pairs = []
-    for target, replacement in zip(args.pairs[::2], args.pairs[1::2]):
-        try:
-            letter = letter_index(target)
-        except ValueError:
-            return _usage_error(f"LETTER must be a single lowercase letter, got {target!r}")
-        # outside the try: a ParseError is a ValueError, and exits 2, not 4
-        pairs.append((letter, _parse(replacement)))
+        raise UsageError("substitutions come in LETTER REPLACEMENT pairs")
+    pairs = [(_letter(target), _parse(replacement)) for target, replacement in zip(args.pairs[::2], args.pairs[1::2])]
     print(canonical_print(ncpoly.calculus._bounded_substitution(_parse(args.expr), pairs)))
     return EXIT_OK
 
@@ -336,7 +338,7 @@ def _cmd_rand(args) -> int:
             allow_inverse=args.inverse,
         )
     except ValueError as exc:
-        return _usage_error(str(exc))
+        raise UsageError(str(exc)) from None
     print(canonical_print(ncpoly.random_element(spec)))
     return EXIT_OK
 
@@ -348,7 +350,7 @@ def _cmd_json(args) -> int:
 
 def _cmd_matcheck(args) -> int:
     if not 0 <= args.tol < math.inf:
-        return _usage_error(f"--tol must be finite and not negative, got {args.tol}")
+        raise UsageError(f"--tol must be finite and not negative, got {args.tol}")
     a = _parse(args.expr_a)
     b = _parse(args.expr_b)
     assignment = None if args.matrices is None else _load_assignment(args.matrices)
@@ -357,7 +359,7 @@ def _cmd_matcheck(args) -> int:
         raise ParseError(0, f"{args.matrices}: the matrices are {dim}x{dim}, not --dim {args.dim}", UNEXPECTED_CHAR)
     # each matrix product takes dim**3 multiply-adds in pure Python, however dim was given
     if not 1 <= dim**3 <= POWER_LIMIT:
-        return _usage_error(f"the matrix dimension must be at least 1, with dim**3 at most {POWER_LIMIT}, got {dim}")
+        raise UsageError(f"the matrix dimension must be at least 1, with dim**3 at most {POWER_LIMIT}, got {dim}")
     if assignment is None:
         assignment = ncpoly.random_assignment(sorted(a.letters() | b.letters()), dim, args.seed)
     _check_product(a, b)
@@ -368,12 +370,12 @@ def _cmd_matcheck(args) -> int:
 
 
 def _load_assignment(path: str) -> ncpoly.MatrixAssignment:
-    """Read a ``--matrices`` fixture; an OSError exits 4, any other error is a ParseError naming the path."""
+    """Read a ``--matrices`` fixture; an OSError is a UsageError, any other error a ParseError naming the path."""
     try:
         with open(path, encoding="utf-8") as handle:
             return ncpoly.MatrixAssignment.from_jsonable(_load_json(handle.read()))
     except OSError as exc:
-        raise SystemExit(_usage_error(f"cannot read {path}: {exc.strerror or exc}")) from None
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise ParseError(0, f"{path} is not UTF-8 text", UNEXPECTED_CHAR) from None
     except ParseError as exc:
@@ -388,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="noncommutative polynomial calculator over invertible generators",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {ncpoly.__version__}")
+    parser.set_defaults(func=lambda args: run_repl())  # no subcommand starts the session
     sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)
 
     p = sub.add_parser("eval", help="parse an element and print its canonical form")
@@ -428,19 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=_cmd_json)
 
-    p = sub.add_parser("repl", help="interactive session (also the default with no arguments)")
-    p.set_defaults(func=None)
+    sub.add_parser("repl", help="interactive session (also the default with no arguments)")
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if not argv:
-        return run_repl()
     args = build_parser().parse_args(argv)
-    if args.command is None or args.command == "repl":
-        return run_repl()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -448,7 +445,9 @@ def main(argv=None) -> int:
         if hasattr(exc, "argument"):
             print(exc.argument, " " * exc.position + "^", sep="\n", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    # the tuple is evaluated, and its modules loaded, only when an exception gets here
-    except (OverflowError, ncpoly.UnboundLetter, ncpoly.SingularMatrix, ncpoly.NonInvertibleReplacement, ncpoly.NonFiniteCoefficient) as exc:
+    except UsageError as exc:
+        print(f"ncpoly: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE_ERROR
+    except EVAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL_ERROR

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from itertools import chain, compress, count, repeat
-from operator import add, attrgetter, mul, ne, sub
+from operator import add, attrgetter, mul, ne, sub, truediv
 
 from .element import Element, NonFiniteCoefficient
 from .randomgen import SplitMix64
@@ -114,45 +114,38 @@ class Matrix:
         return max(map(abs, chain.from_iterable(self.rows)))
 
     def inverse(self) -> "Matrix":
-        """Inverse via LU with partial pivoting, computed once.
+        """Inverse by elimination with partial pivoting over ``[A | I]``, computed once.
 
-        A pivot whose magnitude is at most ``SINGULAR_PIVOT_RTOL`` times
-        the largest input entry raises SingularMatrix.
+        The identity takes every row swap and row update of the LU, so
+        its rows end as ``L^-1 P``; one back substitution through ``U``
+        then solves all columns at once.  A pivot whose magnitude is at
+        most ``SINGULAR_PIVOT_RTOL`` times the largest input entry
+        raises SingularMatrix.
         """
         if self._inv is not None:
             return self._inv
         n = self.dim
         threshold = SINGULAR_PIVOT_RTOL * self.max_abs()
-        lu = [list(row) for row in self.rows]
-        perm = list(range(n))
+        rows = [[*row, *(float(r == c) for c in range(n))] for r, row in enumerate(self.rows)]
         for col in range(n):
-            pivot_row = max(range(col, n), key=lambda r: abs(lu[r][col]))
-            if abs(lu[pivot_row][col]) <= threshold:
+            pivot_row = max(range(col, n), key=lambda r: abs(rows[r][col]))
+            if abs(rows[pivot_row][col]) <= threshold:
                 raise SingularMatrix(
                     f"matrix is singular to working precision (column {col})"
                 )
-            if pivot_row != col:
-                lu[col], lu[pivot_row] = lu[pivot_row], lu[col]
-                perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
-            inv_pivot = 1.0 / lu[col][col]
-            for r in range(col + 1, n):
-                factor = lu[r][col] * inv_pivot
-                lu[r][col] = factor
-                for c in range(col + 1, n):
-                    lu[r][c] -= factor * lu[col][c]
-        # solve A x = e_k for each unit vector, i.e. LU x = P e_k
-        columns = []
-        for k in range(n):
-            y = [1.0 if perm[r] == k else 0.0 for r in range(n)]
-            for r in range(n):
-                for c in range(r):
-                    y[r] -= lu[r][c] * y[c]
-            for r in range(n - 1, -1, -1):
-                for c in range(r + 1, n):
-                    y[r] -= lu[r][c] * y[c]
-                y[r] /= lu[r][r]
-            columns.append(y)
-        self._inv = Matrix._from_rows(tuple(zip(*columns)))
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            pivot = rows[col][col + 1:]
+            inv_pivot = 1.0 / rows[col][col]
+            for row in rows[col + 1:]:
+                row[col + 1:] = map(sub, row[col + 1:], map(mul, repeat(row[col] * inv_pivot), pivot))
+        inverse = [()] * n
+        for r in range(n - 1, -1, -1):
+            row = rows[r]
+            solved = row[n:]
+            for c in range(r + 1, n):
+                solved = map(sub, solved, map(mul, repeat(row[c]), inverse[c]))
+            inverse[r] = tuple(map(truediv, solved, repeat(row[r])))
+        self._inv = Matrix._from_rows(tuple(inverse))
         return self._inv
 
     def to_jsonable(self) -> dict:

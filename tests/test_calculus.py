@@ -54,6 +54,8 @@ def test_replacement_value_forms():
     assert substitute(parse("ab"), b=2) == parse("2a")
     assert substitute(parse("ab"), b=parse("c")) == parse("ac")
     assert substitute(parse("ab"), b=0) == Element.zero()
+    with pytest.raises(TypeError):
+        substitute(parse("x"), x=object())
 
 
 def test_inverse_occurrence_uses_group_inverse():

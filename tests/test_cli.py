@@ -24,7 +24,7 @@ from ncpoly.cli import (
     run_command,
     run_repl,
 )
-from ncpoly.parsing import BAD_NUMBER, TRAILING_INPUT, UNEXPECTED_CHAR, ParseError
+from ncpoly.parsing import BAD_NUMBER, EMPTY_TERM, TRAILING_INPUT, UNEXPECTED_CHAR, ParseError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -62,23 +62,25 @@ def test_expression_precedence():
     assert evaluate_expression("-x^2") == parse("-xx")
 
 
-def test_expression_errors():
-    with pytest.raises(ParseError):
-        evaluate_expression("(x")
-    with pytest.raises(ParseError):
-        evaluate_expression("x^-2")
-    with pytest.raises(ParseError):
-        evaluate_expression("x^2.5")
-    with pytest.raises(ParseError):
-        evaluate_expression("[x y]")
-    with pytest.raises(ParseError):
-        evaluate_expression("x ?")
-    with pytest.raises(ParseError):
-        evaluate_expression("deriv(x, xy)")
-    with pytest.raises(ParseError):
-        evaluate_expression("2 * " + "1" * 400 + "x")
-    with pytest.raises(UnknownName):
-        evaluate_expression("foo2")
+@pytest.mark.parametrize(
+    "text,kind,position",
+    [
+        ("(x", EMPTY_TERM, 2),
+        ("x^-2", BAD_NUMBER, 2),
+        ("x^2.5", BAD_NUMBER, 2),
+        ("[x y]", UNEXPECTED_CHAR, 3),
+        ("x ?", UNEXPECTED_CHAR, 2),
+        ("deriv(x, xy)", UNEXPECTED_CHAR, 9),
+        ("2 * " + "1" * 400 + "x", BAD_NUMBER, 4),
+        ("x +", EMPTY_TERM, 3),
+        ("x + )", UNEXPECTED_CHAR, 4),
+        ("2deriv(x, x)", UNEXPECTED_CHAR, 1),  # use '*' before 'deriv'
+    ],
+)
+def test_expression_errors(text, kind, position):
+    with pytest.raises(ParseError) as excinfo:
+        evaluate_expression(text)
+    assert (excinfo.value.kind, excinfo.value.position) == (kind, position)
 
 
 @pytest.mark.parametrize(
@@ -128,6 +130,8 @@ def test_bindings_resolve_before_words():
     session = {"zy": parse("x")}
     assert evaluate_expression("zy", session) == parse("x")
     assert evaluate_expression("zyx", session) == parse("zyx")
+    with pytest.raises(UnknownName):
+        evaluate_expression("foo2", session)
 
 
 def test_run_command_binds_and_evaluates():
@@ -300,6 +304,10 @@ def test_matcheck_unreadable_matrices_are_input_errors(tmp_path):
         assert result.returncode == EXIT_USAGE_ERROR, path
         assert result.stderr.splitlines() == [result.stderr.strip()]
         assert f"error: cannot read {path}: " in result.stderr
+        # main returns the code in process too, rather than raising SystemExit
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            assert main(["matcheck", "x", "x", "--matrices", str(path)]) == EXIT_USAGE_ERROR
+        assert stderr.getvalue() == result.stderr
     # a file that reads but is not UTF-8 is bad input, like invalid JSON
     binary = tmp_path / "binary.json"
     binary.write_bytes(b'{"bindings": \xff}')
@@ -472,7 +480,7 @@ def test_matcheck_product_past_the_limit_exits_3():
     assert result.stderr.splitlines() == ["error: product could exceed the limit of 1000000 terms or symbols in all"]
 
 
-def test_usage_errors_exit_4():
+def test_usage_errors_exit_4(tmp_path):
     cases = [
         ("frobnicate",),
         ("deriv", "x"),
@@ -493,10 +501,16 @@ def test_usage_errors_exit_4():
         ("matcheck", "x", "x", "--seed", "1", "--tol", "nan"),
         ("matcheck", "x", "x", "--seed", "1", "--tol=-1"),
         ("matcheck", "x", "x", "--seed", "1", "--tol", "inf"),
+        # a --matrices file that cannot be read: a missing file and a directory
+        ("matcheck", "x", "x", "--matrices", str(tmp_path / "missing.json")),
+        ("matcheck", "x", "x", "--matrices", str(tmp_path)),
     ]
     for args in cases:
         result = run_cli(*args)
-        assert result.returncode == EXIT_USAGE_ERROR, args
+        assert (result.returncode, result.stdout) == (EXIT_USAGE_ERROR, ""), args
+        # argparse's own errors print the usage first
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith("ncpoly") and "error: " in last, args
 
 
 def test_version_and_help():
@@ -592,6 +606,16 @@ def test_session_nesting_is_bounded(depth):
     assert [line.startswith(refused) for line in out] == [True, True, True, False]
     assert out[-1] == "+ 1*ab - 1*ba"
     assert evaluate_expression("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == parse("x")
+
+
+def test_repl_prompts_a_terminal():
+    class Terminal(io.StringIO):
+        def isatty(self):
+            return True
+
+    stdout = io.StringIO()
+    assert run_repl(Terminal("[a, b]\n"), stdout) == EXIT_OK
+    assert stdout.getvalue() == "ncpoly> + 1*ab - 1*ba\nncpoly> "
 
 
 def test_repl_subcommand_matches_default():

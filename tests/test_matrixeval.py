@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import subprocess
 import sys
 
@@ -43,6 +44,8 @@ def test_matrix_validation():
         Matrix([[float("nan")]])
     with pytest.raises(ValueError):
         Matrix([[float("inf")]])
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        Matrix.identity(2) @ Matrix.identity(3)
 
 
 def test_matrix_arithmetic_against_plain_lists():
@@ -66,6 +69,30 @@ def test_inverse_and_singularity():
         Matrix.zeros(3).inverse()
     with pytest.raises(SingularMatrix):
         Matrix([[1.0, 2.0], [2.0, 4.0]]).inverse()
+
+
+def _unit_upper_inverse(u):
+    """The exact inverse of a unit upper-triangular integer matrix, in integers."""
+    x = [[int(r == c) for c in range(len(u))] for r in range(len(u))]
+    for r in reversed(range(len(u))):
+        for c in range(r + 1, len(u)):
+            x[r] = [a - u[r][c] * b for a, b in zip(x[r], x[c])]
+    return tuple(map(tuple, x))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_inverse_is_exact_where_floats_can_be(seed):
+    """Inverses whose entries floats hold exactly compare == to their exact rows."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    perm = rng.sample(range(n), n)
+    p = [[float(perm[r] == c) for c in range(n)] for r in range(n)]
+    assert Matrix(p).inverse().rows == tuple(zip(*p))
+    powers = [2.0 ** rng.randint(-15, 15) for _ in range(n)]  # within the pivot threshold
+    d = Matrix([[powers[r] if r == c else 0.0 for c in range(n)] for r in range(n)])
+    assert d.inverse().rows == tuple(tuple(1 / powers[r] if r == c else 0.0 for c in range(n)) for r in range(n))
+    u = [[rng.randint(-3, 3) if c > r else int(r == c) for c in range(n)] for r in range(n)]
+    assert Matrix(u).inverse().rows == _unit_upper_inverse(u)
 
 
 def test_matrix_json_forms():

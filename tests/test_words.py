@@ -90,6 +90,8 @@ def test_letter_index_forms():
         letter("A")
     with pytest.raises(ValueError):
         letter(0)
+    with pytest.raises(TypeError):
+        letter(True)
 
 
 def test_symbol_text():
