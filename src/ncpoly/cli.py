@@ -18,10 +18,12 @@ Exit codes: 0 success, 1 failed check, 2 parse error (a ``--matrices``
 fixture too, e.g. one with a repeated key or keys other than ``bindings``
 and ``diff_bindings``), 3 evaluation error (unbound generator, singular
 matrix, non-invertible replacement, non-finite coefficient or matrix
-entry, a result past ``POWER_LIMIT``), 4 usage error (an unreadable
-``--matrices`` file, ``--seed`` with ``--matrices``, a ``--dim`` or
-fixture dimension whose dim**3 is not within 1..``POWER_LIMIT``, a
-negative or non-finite ``--tol``, ``rand`` sizes past ``POWER_LIMIT``).
+entry, a result past ``POWER_LIMIT``, a ``matcheck`` whose evaluation
+could pass ``DEFAULT_DIM**3 * POWER_LIMIT`` multiply-adds), 4 usage
+error (an unreadable ``--matrices`` file, ``--seed`` with
+``--matrices``, a ``--dim`` or fixture dimension whose dim**3 is not
+within 1..``POWER_LIMIT``, a negative or non-finite ``--tol``, ``rand``
+sizes past ``POWER_LIMIT``).
 Each usage error prints one ``ncpoly: error:`` line; argparse's own
 errors print the usage first.  Only ``main`` maps an exception to a code.
 """
@@ -59,6 +61,9 @@ EXIT_USAGE_ERROR = 4
 EVAL_ERRORS = (ValueError, LookupError, ArithmeticError)
 
 RESERVED_FUNCTIONS = ("deriv", "subs")
+
+# matcheck's matrix dimension when neither --dim nor --matrices gives one
+DEFAULT_DIM = 5
 
 # the deepest session nesting of parentheses, brackets and calls; each level
 # takes about six Python frames, well inside the default recursion limit
@@ -354,7 +359,7 @@ def _cmd_matcheck(args) -> int:
     a = _parse(args.expr_a)
     b = _parse(args.expr_b)
     assignment = None if args.matrices is None else _load_assignment(args.matrices)
-    dim = (5 if args.dim is None else args.dim) if assignment is None else assignment.dim
+    dim = (DEFAULT_DIM if args.dim is None else args.dim) if assignment is None else assignment.dim
     if args.dim not in (None, dim):
         raise ParseError(0, f"{args.matrices}: the matrices are {dim}x{dim}, not --dim {args.dim}", UNEXPECTED_CHAR)
     # each matrix product takes dim**3 multiply-adds in pure Python, however dim was given
@@ -362,7 +367,11 @@ def _cmd_matcheck(args) -> int:
         raise UsageError(f"the matrix dimension must be at least 1, with dim**3 at most {POWER_LIMIT}, got {dim}")
     if assignment is None:
         assignment = ncpoly.random_assignment(sorted(a.letters() | b.letters()), dim, args.seed)
-    _check_product(a, b)
+    # evaluation takes dim**3 multiply-adds per symbol it folds, most of them in a*b; the
+    # limit is a POWER_LIMIT-symbol product at the default dim, so no dim up to it is refused
+    work, limit = dim**3 * _check_product(a, b), DEFAULT_DIM**3 * POWER_LIMIT
+    if work > limit:
+        raise OverflowError(f"the check could take {work} multiply-adds at dim {dim}, past the limit of {limit}")
     report = ncpoly.homomorphism_check(a, b, assignment, args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max_abs={report.max_abs_residual:.3e} max_rel={report.max_rel_residual:.3e}")

@@ -19,14 +19,15 @@ def _check_size(what: str, terms: int, symbols: int) -> None:
         raise OverflowError(f"{what} could exceed the limit of {POWER_LIMIT} terms or symbols in all")
 
 
-def _check_product(a: Element, b: Element) -> None:
-    """Refuse ``a * b`` when it could pass POWER_LIMIT terms or symbols in all.
+def _check_product(a: Element, b: Element) -> int:
+    """Refuse ``a * b`` when it could pass POWER_LIMIT terms or symbols in all; else return the symbol bound.
 
     The symbols in all are at most ``len(b)*S(a) + len(a)*S(b)``, ``S`` summing word lengths.
     The bounds count the operands, so terms that collided or cancelled earlier do not.
     """
     symbols = len(b) * sum(map(len, a._terms)) + len(a) * sum(map(len, b._terms))
     _check_size("product", len(a) * len(b), symbols)
+    return symbols
 
 
 class NonFiniteCoefficient(ArithmeticError, ValueError):

@@ -50,27 +50,26 @@ def _finite(rows: tuple) -> tuple:
 class Matrix:
     """Immutable, validated square real matrix; arithmetic beyond ``@`` works on ``rows``.
 
-    ``rows`` and ``dim`` are read-only.  It memoizes its inverse and its
-    columns (read by ``@``), each filled at most once: the LU runs once
-    per lifetime, and a singular matrix stores nothing and raises on
-    every call.
+    ``rows`` and ``dim`` are read-only.  It memoizes its inverse, filled
+    at most once: the LU runs once per lifetime, and a singular matrix
+    stores nothing and raises on every call.
     """
 
-    __slots__ = ("_rows", "_inv", "_cols")
+    __slots__ = ("_rows", "_inv")
 
     def __init__(self, rows: Iterable[Iterable[float]]):
         rows = tuple(tuple(float(x) for x in row) for row in rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")
         self._rows = _finite(rows)
-        self._inv = self._cols = None
+        self._inv = None
 
     @classmethod
     def _from_rows(cls, rows: tuple) -> "Matrix":
         """Square float rows computed here; only their finiteness is checked."""
         matrix = object.__new__(cls)
         matrix._rows = _finite(rows)
-        matrix._inv = matrix._cols = None
+        matrix._inv = None
         return matrix
 
     rows = property(attrgetter("_rows"), doc="The entries, a tuple of row tuples of floats.")
@@ -102,13 +101,7 @@ class Matrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Matrix._from_rows(_matmul(self.rows, other._columns()))
-
-    def _columns(self) -> tuple:
-        """``rows`` transposed, computed once."""
-        if self._cols is None:
-            self._cols = tuple(zip(*self.rows))
-        return self._cols
+        return Matrix._from_rows(_matmul(self.rows, tuple(zip(*other.rows))))
 
     def max_abs(self) -> float:
         return max(map(abs, chain.from_iterable(self.rows)))
@@ -262,7 +255,7 @@ def _image(sym: int, assignment: MatrixAssignment) -> tuple:
     if matrix is None:
         raise UnboundLetter(symbol_text(key))
     image = matrix.inverse() if sym < 0 else matrix
-    return image.rows, image._columns()
+    return image.rows, tuple(zip(*image.rows))
 
 
 HomomorphismReport = namedtuple("HomomorphismReport", "max_abs_residual max_rel_residual passed")

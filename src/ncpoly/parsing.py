@@ -85,8 +85,7 @@ def tokenize(text: str) -> Iterator[Token]:
         start, end = match.span(kind)
         raw = match[kind]
         value = _number(raw, start) if kind == "num" else None
-        # tuple.__new__ skips the namedtuple's slower Python-level __new__
-        yield tuple.__new__(Token, (kind, raw, value, start, end))
+        yield Token(kind, raw, value, start, end)
     yield Token("end", "", None, len(text), len(text))
 
 

@@ -88,9 +88,11 @@ class DegenerateSpec(ValueError):
 class RandSpec(namedtuple("RandSpec", "seed n_terms alphabet word_len coeff_range allow_inverse")):
     """Parameters for one reproducible random element.
 
-    ``alphabet`` accepts letter indices or letters (a string like
-    ``"abc"`` works); both range fields are inclusive and may span at
-    most ``2**64`` values.  ``n_terms``, and ``n_terms`` times the
+    ``seed`` and ``n_terms`` are ints and ``allow_inverse`` a bool
+    (``TypeError`` otherwise).  ``alphabet`` accepts letter indices or
+    letters (a string like ``"abc"`` works).  Both range fields are
+    inclusive pairs of ints (a float end must be a whole number) and may
+    span at most ``2**64`` values.  ``n_terms``, and ``n_terms`` times the
     longest word, are held to ``element.POWER_LIMIT``, so no draw runs
     away.  The defaults draw small integer coefficients so test
     arithmetic stays exact in doubles.
@@ -107,11 +109,16 @@ class RandSpec(namedtuple("RandSpec", "seed n_terms alphabet word_len coeff_rang
         coeff_range: tuple[int, int] = (1, 9),
         allow_inverse: bool = False,
     ):
+        for name, value in (("seed", seed), ("n_terms", n_terms)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+        if not isinstance(allow_inverse, bool):
+            raise TypeError(f"allow_inverse must be a bool, got {allow_inverse!r}")
         letters = tuple(sorted({letter_index(x) for x in alphabet}))
         if not letters:
             raise ValueError("alphabet must not be empty")
-        word_len = (int(word_len[0]), int(word_len[1]))
-        coeff_range = (int(coeff_range[0]), int(coeff_range[1]))
+        word_len = (_range_end("word_len", word_len[0]), _range_end("word_len", word_len[1]))
+        coeff_range = (_range_end("coeff_range", coeff_range[0]), _range_end("coeff_range", coeff_range[1]))
         if n_terms < 1:
             raise ValueError("n_terms must be at least 1")
         lo, hi = word_len
@@ -130,6 +137,16 @@ class RandSpec(namedtuple("RandSpec", "seed n_terms alphabet word_len coeff_rang
 
     # _replace goes through _make, which would otherwise skip __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+def _range_end(name: str, value) -> int:
+    """An int range end; a float is taken only when its value is a whole number."""
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{name} ends must be whole numbers, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} ends must be ints, got {value!r}")
+    return int(value)
 
 
 def random_element(spec: RandSpec) -> Element:

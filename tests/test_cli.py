@@ -478,6 +478,14 @@ def test_matcheck_product_past_the_limit_exits_3():
     assert result.returncode == EXIT_EVAL_ERROR
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: product could exceed the limit of 1000000 terms or symbols in all"]
+    # a product within the limit whose 140 symbols would each take a dim-100 matrix product:
+    # 1.4e8 multiply-adds, past the 5**3 * 10**6 of a limit-sized product at the default dim
+    result = run_cli("matcheck", "x" * 70, "y" * 70, "--seed", "1", "--dim", "100")
+    assert result.returncode == EXIT_EVAL_ERROR
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: the check could take 140000000 multiply-adds at dim 100, past the limit of 125000000"
+    ]
 
 
 def test_usage_errors_exit_4(tmp_path):

@@ -104,6 +104,17 @@ def test_scalar_operations(paper):
     assert -parse("xxyx + 2zy") == parse("-xxyx - 2zy")
     assert a + 1 == parse("1 + xxyx + 2zy")
     assert 1 - a == parse("1 - xxyx - 2zy")
+    assert +a is a
+    # anything but a real number or an Element is not an operand
+    for operation in (
+        lambda: a + "y",
+        lambda: a - "y",
+        lambda: "y" - a,
+        lambda: a * None,
+        lambda: a ** 2.0,
+    ):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_pow():
@@ -144,6 +155,7 @@ def test_queries(paper):
     assert a.letters() == {24, 25, 26}
     assert c.letters() == {24, 25}
     assert (parse("X") * Element.from_word((101,))).letters() == {1, 24}
+    assert repr(parse("x")) == "<Element + 1*x>"
 
 
 def test_equality_is_order_free(paper):
@@ -155,6 +167,7 @@ def test_equality_is_order_free(paper):
     assert Element.zero() == 0
     assert Element.constant(3) != float("inf")
     assert Element.zero() != float("nan")
+    assert (parse("x") == "x") is False
 
 
 def test_hash_consistent_with_equality(paper):

@@ -46,6 +46,8 @@ def test_matrix_validation():
         Matrix([[float("inf")]])
     with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
         Matrix.identity(2) @ Matrix.identity(3)
+    with pytest.raises(TypeError):
+        Matrix.identity(2) @ 2
 
 
 def test_matrix_arithmetic_against_plain_lists():
@@ -98,7 +100,8 @@ def test_inverse_is_exact_where_floats_can_be(seed):
 def test_matrix_json_forms():
     m = Matrix([[1.0, 2.0], [3.0, 4.0]])
     assert m.to_jsonable() == {"dim": 2, "rows": [[1.0, 2.0], [3.0, 4.0]]}
-    assert Matrix.from_jsonable(m.to_jsonable()) == m
+    loaded = Matrix.from_jsonable(m.to_jsonable())
+    assert loaded == m and hash(loaded) == hash(m)
     for bad in (
         {"dim": 2, "rows": [[1, 2]]},
         {"dim": 2},

@@ -57,6 +57,16 @@ def test_normal_is_deterministic():
     b = SplitMix64(17)
     assert [a.normal() for _ in range(8)] == [b.normal() for _ in range(8)]
 
+    class FirstUniformZero(SplitMix64):
+        calls = 0
+
+        def uniform(self):
+            self.calls += 1
+            return 0.0 if self.calls == 1 else super().uniform()
+
+    # log(0.0) has no value, so a zero first uniform is drawn again from the stream
+    assert FirstUniformZero(17).normal() == SplitMix64(17).normal()
+
 
 def test_random_element_determinism():
     spec = RandSpec(seed=7)
@@ -105,6 +115,23 @@ def test_spec_validation():
         RandSpec(seed=1, coeff_range=(5, 4))
     with pytest.raises(ValueError):
         RandSpec(seed=1, alphabet="a1")
+    # wrong types fail here, not inside random_element, and a range end is never truncated
+    for fields in (
+        {"seed": "x"},
+        {"seed": True},
+        {"n_terms": 2.5},
+        {"n_terms": True},
+        {"allow_inverse": "no"},
+        {"allow_inverse": 1},
+        {"word_len": (1, "4")},
+        {"coeff_range": (None, 9)},
+        {"coeff_range": (1, True)},
+    ):
+        with pytest.raises(TypeError):
+            RandSpec(**{"seed": 1, **fields})
+    for fields in ({"word_len": (1.9, 4)}, {"coeff_range": (1, float("inf"))}, {"coeff_range": (float("nan"), 9)}):
+        with pytest.raises(ValueError, match="whole numbers"):
+            RandSpec(**{"seed": 1, **fields})
     # below() draws at most 2**64 values
     with pytest.raises(ValueError, match="coeff_range spans more than"):
         RandSpec(seed=1, coeff_range=(0, 2**64))
