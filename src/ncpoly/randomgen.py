@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 
 from .element import POWER_LIMIT, Element
-from .words import letter_index
+from .words import encode_word, letter_index, reduce_checked
 
 _MASK64 = (1 << 64) - 1
 _MAX_ATTEMPTS = 100
@@ -163,20 +163,20 @@ def random_element(spec: RandSpec) -> Element:
     rng = SplitMix64(spec.seed)
     len_lo, len_hi = spec.word_len
     coeff_lo, coeff_hi = spec.coeff_range
-    alphabet = spec.alphabet
+    # RandSpec checked the alphabet, so its ranks and its inverses' ranks are taken once
+    ranks = encode_word(spec.alphabet)
+    inverse_ranks = encode_word(-x for x in spec.alphabet)
     for _ in range(_MAX_ATTEMPTS):
-        pairs = []
+        data: dict[bytes, float] = {}
         for _ in range(spec.n_terms):
             length = len_lo + rng.below(len_hi - len_lo + 1)
-            symbols = []
+            word = bytearray()
             for _ in range(length):
-                sym = alphabet[rng.below(len(alphabet))]
-                if spec.allow_inverse and rng.below(2) == 1:
-                    sym = -sym
-                symbols.append(sym)
-            coeff = coeff_lo + rng.below(coeff_hi - coeff_lo + 1)
-            pairs.append((tuple(symbols), float(coeff)))
-        element = Element(pairs)
+                i = rng.below(len(ranks))
+                word.append(inverse_ranks[i] if spec.allow_inverse and rng.below(2) == 1 else ranks[i])
+            word = reduce_checked(bytes(word))
+            data[word] = data.get(word, 0.0) + float(coeff_lo + rng.below(coeff_hi - coeff_lo + 1))
+        element = Element._from_reduced(data)
         if element:
             return element
     raise DegenerateSpec(f"no nonzero element in {_MAX_ATTEMPTS} attempts for {spec!r}")

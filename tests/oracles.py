@@ -68,9 +68,18 @@ def mat_identity(n):
     return [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
 
 
+def dot(row, col):
+    """The left-to-right double sum of the products, starting from 0.0."""
+    total = 0.0
+    for x, y in zip(row, col):
+        total += x * y
+    return total
+
+
 def mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    """Rows of ``a`` (any number) times the square ``b``, each entry by ``dot``."""
+    cols = list(zip(*b))
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def mat_add(a, b):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ncpoly import Element, canonical_print, derivative, from_json, parse
 from ncpoly.cli import (
+    EVAL_ERRORS,
     EXIT_CHECK_FAILED,
     EXIT_EVAL_ERROR,
     EXIT_OK,
@@ -614,6 +615,22 @@ def test_session_nesting_is_bounded(depth):
     assert [line.startswith(refused) for line in out] == [True, True, True, False]
     assert out[-1] == "+ 1*ab - 1*ba"
     assert evaluate_expression("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == parse("x")
+
+
+session_pieces = st.sampled_from([*"xyzXYab12.0 +-*^()[],=", "deriv(", "subs(", "^30", "AA", "\t", "é"])
+session_lines = st.lists(session_pieces, max_size=24).map("".join)
+
+
+@settings(deadline=None)
+@given(st.lists(session_lines, min_size=1, max_size=3))
+def test_every_session_line_prints_binds_or_gives_one_error(lines):
+    session = {}  # a fresh session for each example
+    for line in lines:
+        try:
+            result = run_command(line, session)
+        except EVAL_ERRORS:
+            continue  # the session prints one error: line and reads on
+        assert result is None or isinstance(result, str)
 
 
 def test_repl_prompts_a_terminal():

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ncpoly.matrixeval as matrixeval
@@ -28,7 +28,8 @@ from ncpoly import (
 )
 from ncpoly.words import differential
 
-from oracles import brute_reduce, fold_evaluate, mat_add, mat_identity, mat_max_abs_diff, mat_mul, mat_scale
+import float_digest
+from oracles import brute_reduce, dot, fold_evaluate, mat_add, mat_identity, mat_max_abs_diff, mat_mul, mat_scale
 
 
 def _rel_diff(m, reference):
@@ -52,7 +53,7 @@ def test_matrix_validation():
 
 def test_matrix_arithmetic_against_plain_lists():
     rng = SplitMix64(2024)
-    for dim in (1, 2, 3, 5):
+    for dim in (1, 2, 3, 5, 100):  # 100: the largest matcheck dim
         a = standard_normal_matrix(dim, rng)
         b = standard_normal_matrix(dim, rng)
         rows_a = [list(r) for r in a.rows]
@@ -390,6 +391,9 @@ def test_computed_matrices_are_checked_for_finiteness():
     huge = Matrix([[1e200]])
     with pytest.raises(NonFiniteCoefficient):
         huge @ huge
+    big = Matrix([[1e154] * 3] * 3)  # every product is 1e308, finite; their sum is not
+    with pytest.raises(NonFiniteCoefficient):
+        big @ big
     with pytest.raises(NonFiniteCoefficient):
         Matrix([[1e-310]]).inverse()
     with pytest.raises(NonFiniteCoefficient):
@@ -447,3 +451,50 @@ def test_warm_assignment_gives_the_cold_results(a, b, dim, seed):
     homomorphism_check(b, a, warm)  # fills the bound matrices' memos
     homomorphism_check(a, b, warm)
     assert results(warm) == results(random_assignment("ab", dim, seed, diff_letters="ab"))
+
+
+# entries of either sign and both zeros, small enough that no product overflows
+kernel_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def row_blocks(draw):
+    """A block of 1..dim rows and a square right factor, for dims 1 to 12."""
+    dim = draw(st.integers(1, 12))
+    rows = st.lists(kernel_entries, min_size=dim, max_size=dim)
+    return draw(st.lists(rows, min_size=1, max_size=dim)), draw(st.lists(rows, min_size=dim, max_size=dim))
+
+
+def _hex_rows(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+@given(row_blocks())
+# sum's integer start turns a -0.0 first product into 0.0, and so does the kernel
+@example(([[-0.0, -0.0]], [[1.0, 0.0], [1.0, 0.0]]))
+def test_matmul_kernel_equals_the_oracle_bitwise(block):
+    a, b = block
+    got = matrixeval._matmul(tuple(map(tuple, a)), tuple(zip(*b)))
+    # float.hex tells 0.0 from -0.0, which == does not
+    assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
+
+
+def test_matmul_kernel_has_no_nesting_limit():
+    # a kernel that nests one level per product cannot be compiled at this length
+    rng = random.Random(5000)
+    row = tuple(rng.gauss(0, 1) for _ in range(5000))
+    col = tuple(rng.gauss(0, 1) for _ in range(5000))
+    (got,) = matrixeval._matmul((row,), (col,))
+    assert _hex_rows([got]) == _hex_rows([[dot(row, col)]])
+
+
+def test_matrix_results_are_pinned_bitwise():
+    # the same bits on every supported Python: no entry goes through sum(),
+    # which compensates float sums from 3.12 on
+    assert float_digest.digest(4, dims=(3, 8)) == "b18eef2dc4dd81942e53c5a1abe47dc0e53326dc900ec92d9ad930164d4b7429"
+    a, b = parse("xY + 2z - 0.5zX"), parse("Xy + yyz")
+    report = homomorphism_check(a, b, random_assignment("xyz", 8, seed=21))
+    assert repr(report) == (
+        "HomomorphismReport(max_abs_residual=6.750155989720952e-14, "
+        "max_rel_residual=5.07156047633759e-16, passed=True)"
+    )

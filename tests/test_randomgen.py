@@ -77,6 +77,8 @@ def test_random_element_determinism():
     )
     # pinned stream output; a change here means the documented draws moved
     assert str(random_element(spec)) == "+ 5*a + 4*aaab + 3*abc + 2*acc + 3*b"
+    # with inverses: a letter, then its flip, per symbol; the constant is a word that cancelled
+    assert str(random_element(spec._replace(allow_inverse=True))) == "+ 2 + 3*Cb + 6*aa + 8*bbAC + 1*c"
 
 
 def test_default_spec_bounds_over_many_seeds():
