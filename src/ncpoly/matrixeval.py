@@ -10,9 +10,11 @@ multiplication and LU factorization with partial pivoting for inverses.
 Each entry of a matrix product is the left-to-right double sum of its
 products, starting from ``0.0``, the same on every supported Python
 (``sum`` compensates float sums from 3.12 on, so it is not used).  The
-product runs through a kernel generated and compiled once per
-dimension: unrolled straight-line code is about twice as fast as a
-loop over the dot product.
+product runs through generated straight-line code, which is about twice
+as fast as a loop over the dot product.  A product of at most 1,024
+multiply-adds, such as any square one up to dim 10, is written out
+whole; a larger one runs a kernel per row.  Each is compiled once per
+shape.
 """
 
 from __future__ import annotations
@@ -42,29 +44,51 @@ class SingularMatrix(ArithmeticError):
     """An inverse was requested but a pivot fell below the singularity threshold."""
 
 
-# row length -> its compiled product kernel; two threads that miss at once
-# each compile an equal kernel, and either may stay
+# (rows, row length, columns) of a product -> its compiled kernel; two threads
+# that miss at once each compile an equal kernel, and either may stay
 _KERNELS: dict = {}
 _CHUNK = 64  # products per generated sum, which the compiler nests one level each
+_UNROLL_BUDGET = 1024  # multiply-adds a product may take and still be written out whole
 
 
-def _kernel(n: int):
-    """Compile the product kernel for rows of length ``n``; see ``_matmul``.
+def _chunked(terms: list, acc: str) -> list:
+    """``0.0 + t0 + t1 + ...`` cut into sums of ``_CHUNK`` terms, each after the first carrying ``acc``."""
+    return [f"{acc if i else '0.0'} + {' + '.join(terms[i:i + _CHUNK])}" for i in range(0, len(terms), _CHUNK)]
 
-    Each entry is ``0.0 + x0*y0 + x1*y1 + ...``, written out, so the
-    loop over the dot product runs as straight-line bytecode.  The sum
-    is cut into chunks of ``_CHUNK`` products that carry one accumulator
-    ``s`` from chunk to chunk (``for s in [...]`` is a plain assignment
-    in a comprehension), so the source grows as O(n) and its nesting
-    stays bounded at every dimension.
+
+def _row_kernel(n: int):
+    """Compile the product kernel for any rows of length ``n``; see ``_matmul``.
+
+    The dot product is written out, so it runs as straight-line
+    bytecode, once per row and column.  Its chunks carry one accumulator
+    ``s`` (``for s in [...]`` is a plain assignment in a comprehension),
+    so the source grows as O(n) and its nesting stays bounded at every
+    dimension.
     """
     xs, ys = (", ".join(f"{v}{i}" for i in range(n)) for v in "xy")
-    terms = [f"x{i}*y{i}" for i in range(n)]
-    sums = " ".join(
-        f"for s in [{'s' if i else '0.0'} + {' + '.join(terms[i:i + _CHUNK])}]" for i in range(0, n, _CHUNK)
-    )
+    sums = " ".join(f"for s in [{chunk}]" for chunk in _chunked([f"x{i}*y{i}" for i in range(n)], "s"))
     namespace: dict = {}
     exec(f"def kernel(a, cols):\n    return tuple([tuple([s for ({ys},) in cols {sums}]) for ({xs},) in a])", namespace)
+    return namespace["kernel"]
+
+
+def _whole_kernel(m: int, n: int, p: int):
+    """Compile the product kernel for ``m`` rows against ``p`` columns of length ``n``.
+
+    ``a`` and ``cols`` are unpacked into locals once, and each entry is
+    one statement per chunk, ``e{r}_{c} = 0.0 + x{r}_0*y{c}_0 + ...``,
+    so the whole product is straight-line code.  Its source grows as
+    ``m*n*p``, which ``_UNROLL_BUDGET`` caps.
+    """
+    rows = [[f"x{r}_{k}" for k in range(n)] for r in range(m)]
+    cols = [[f"y{c}_{k}" for k in range(n)] for c in range(p)]
+    body = [f"[[{'], ['.join(map(', '.join, rows))}]] = a", f"[[{'], ['.join(map(', '.join, cols))}]] = cols"]
+    for r, row in enumerate(rows):
+        for c, col in enumerate(cols):
+            body += (f"e{r}_{c} = {chunk}" for chunk in _chunked([f"{x}*{y}" for x, y in zip(row, col)], f"e{r}_{c}"))
+    entries = "".join(f"({''.join(f'e{r}_{c}, ' for c in range(p))}), " for r in range(m))
+    namespace: dict = {}
+    exec("def kernel(a, cols):\n    " + "\n    ".join(body) + f"\n    return ({entries})", namespace)
     return namespace["kernel"]
 
 
@@ -74,14 +98,25 @@ def _matmul(a: tuple, cols: tuple) -> tuple:
     Each entry is the left-to-right double sum of its products, starting
     from ``0.0``: ``sum``'s value up to Python 3.11, where its integer
     start turns a ``-0.0`` first product into ``0.0``, and kept from 3.12
-    on, where ``sum`` compensates float sums.  The straight-line kernel
-    that computes it is compiled once per row length.
+    on, where ``sum`` compensates float sums.  Straight-line code
+    computes it, compiled once per shape.  A product of at most
+    ``_UNROLL_BUDGET`` multiply-adds is written out whole; a larger one
+    runs a kernel per row, because the whole product's source grows as
+    ``m*n*p`` (424 ms to compile at dim 100).
     """
-    n = len(a[0])
-    kernel = _KERNELS.get(n)
+    shape = len(a), len(cols[0]), len(cols)
+    kernel = _KERNELS.get(shape)
     if kernel is None:
-        kernel = _KERNELS[n] = _kernel(n)
+        m, n, p = shape
+        kernel = _KERNELS[shape] = _whole_kernel(m, n, p) if m * n * p <= _UNROLL_BUDGET else _row_kernel(n)
     return kernel(a, cols)
+
+
+def _check_dim(dim, what: str) -> None:
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise TypeError(f"{what} must be an int, got {dim!r}")
+    if dim < 1:
+        raise ValueError(f"{what} must be at least 1")
 
 
 def _finite(rows: tuple) -> tuple:
@@ -121,10 +156,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, dim: int) -> "Matrix":
+        _check_dim(dim, "the matrix dimension")
         return cls._from_rows(tuple(tuple(float(r == c) for c in range(dim)) for r in range(dim)))
 
     @classmethod
     def zeros(cls, dim: int) -> "Matrix":
+        _check_dim(dim, "the matrix dimension")
         return cls(tuple((0.0,) * dim for _ in range(dim)))
 
     def __reduce__(self):
@@ -227,8 +264,7 @@ class MatrixAssignment(namedtuple("MatrixAssignment", "dim bindings diff_binding
     __slots__ = ()
 
     def __new__(cls, dim: int, bindings: Mapping, diff_bindings: Mapping = ()):
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise TypeError(f"the assignment dimension must be an int, got {dim!r}")
+        _check_dim(dim, "the assignment dimension")
         bindings = {letter_index(k): v for k, v in dict(bindings).items()}
         diffs = {letter_index(k): v for k, v in dict(diff_bindings).items()}
         for key, matrix in [*bindings.items(), *((DIFF_BASE + k, m) for k, m in diffs.items())]:
@@ -236,8 +272,6 @@ class MatrixAssignment(namedtuple("MatrixAssignment", "dim bindings diff_binding
                 raise TypeError(f"{symbol_text(key)} is bound to a {type(matrix).__name__}, not a Matrix")
             if matrix.dim != dim:
                 raise ValueError("all bound matrices must share the assignment dimension")
-        if dim < 1:
-            raise ValueError("the assignment dimension must be at least 1")
         return super().__new__(cls, dim, bindings, diffs)
 
     # _replace goes through _make, which would otherwise skip __new__
@@ -314,7 +348,12 @@ def homomorphism_check(
     ``max|R| <= tol * (1 + max|evaluate(a*b)|)``; the reported relative
     residual is ``max|R|`` divided by that scale.  Each bound matrix
     keeps its inverse, so the three evaluations factor a binding once.
+    A ``tol`` outside ``[0, inf)`` is refused before any evaluation.
     """
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise TypeError(f"tol must be a real number, got {tol!r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and not negative, got {tol}")
     product = evaluate(a, assignment) @ evaluate(b, assignment)
     direct = evaluate(a * b, assignment)
     residual = map(sub, chain.from_iterable(product.rows), chain.from_iterable(direct.rows))

@@ -51,6 +51,14 @@ def test_matrix_validation():
         Matrix.identity(2) @ 2
 
 
+@pytest.mark.parametrize("dim, error", [(0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError), ("3", TypeError)])
+def test_identity_and_zeros_check_the_dimension(dim, error):
+    # a dim-0 matrix would be one that no product, inverse or pickle takes
+    for make in (Matrix.identity, Matrix.zeros):
+        with pytest.raises(error, match="the matrix dimension must be"):
+            make(dim)
+
+
 def test_matrix_arithmetic_against_plain_lists():
     rng = SplitMix64(2024)
     for dim in (1, 2, 3, 5, 100):  # 100: the largest matcheck dim
@@ -249,6 +257,13 @@ def test_homomorphism_report_fields():
     assert report.passed
     assert repr(report) == "HomomorphismReport(max_abs_residual=0.0, max_rel_residual=0.0, passed=True)"
     assert report == (0.0, 0.0, True)
+    # refused before any evaluation: y is unbound, so evaluating would raise UnboundLetter
+    y = parse("y")
+    refused = [(-1, ValueError), (float("nan"), ValueError), (float("inf"), ValueError)]
+    for tol, error in [*refused, ("1e-9", TypeError), (None, TypeError), (True, TypeError)]:
+        with pytest.raises(error, match="tol must be"):
+            homomorphism_check(y, y, assignment, tol=tol)
+    assert homomorphism_check(Element.one(), Element.one(), assignment, tol=0).passed
 
 
 def test_homomorphism_on_seeded_triples():
@@ -477,6 +492,29 @@ def test_matmul_kernel_equals_the_oracle_bitwise(block):
     got = matrixeval._matmul(tuple(map(tuple, a)), tuple(zip(*b)))
     # float.hex tells 0.0 from -0.0, which == does not
     assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
+
+
+@pytest.mark.parametrize("rows, dim", [(10, 10), (11, 11), (1, 8), (3, 5)])
+def test_matmul_kernels_on_both_sides_of_the_unroll_budget(rows, dim):
+    # 10x10 times 10x10 is 1,000 multiply-adds, written out whole; 11x11 is 1,331, run per
+    # row; 1 row against 8 columns and 3 against 5 are probe-block shapes of the whole kernel
+    rng = random.Random(100 * rows + dim)
+    a, b = ([[rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3)]) for _ in range(dim)] for _ in range(n)] for n in (rows, dim))
+    got = matrixeval._matmul(tuple(map(tuple, a)), tuple(zip(*b)))
+    assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
+    # only the whole-product kernel holds each entry in a local of its own
+    whole = "e0_0" in matrixeval._KERNELS[rows, dim, dim].__code__.co_varnames
+    assert whole == (rows * dim * dim <= matrixeval._UNROLL_BUDGET)
+
+
+def test_matmul_whole_kernel_carries_the_sum_across_chunks():
+    # one 1,024-long row against one column: the budget exactly, in 16 chunks of 64 products
+    rng = random.Random(1024)
+    row = tuple(rng.gauss(0, 1) for _ in range(1024))
+    col = tuple(rng.gauss(0, 1) for _ in range(1024))
+    (got,) = matrixeval._matmul((row,), (col,))
+    assert _hex_rows([got]) == _hex_rows([[dot(row, col)]])
+    assert "e0_0" in matrixeval._KERNELS[1, 1024, 1].__code__.co_varnames
 
 
 def test_matmul_kernel_has_no_nesting_limit():
