@@ -12,9 +12,9 @@ products, starting from ``0.0``, the same on every supported Python
 (``sum`` compensates float sums from 3.12 on, so it is not used).  The
 product runs through generated straight-line code, which is about twice
 as fast as a loop over the dot product.  A product of at most 1,024
-multiply-adds, such as any square one up to dim 10, is written out
-whole; a larger one runs a kernel per row.  Each is compiled once per
-shape.
+multiply-adds and dot products of at most 64, such as any square one
+up to dim 10, is written out whole; any other runs a kernel per row,
+in 64-product chunks.  Each is compiled once per shape.
 """
 
 from __future__ import annotations
@@ -44,16 +44,11 @@ class SingularMatrix(ArithmeticError):
     """An inverse was requested but a pivot fell below the singularity threshold."""
 
 
-# (rows, row length, columns) of a product -> its compiled kernel; two threads
-# that miss at once each compile an equal kernel, and either may stay
+# (rows, row length, columns) of a product -> its compiled kernel, ``whole`` or
+# ``row``; two threads that miss at once each compile an equal kernel, and either may stay
 _KERNELS: dict = {}
 _CHUNK = 64  # products per generated sum, which the compiler nests one level each
 _UNROLL_BUDGET = 1024  # multiply-adds a product may take and still be written out whole
-
-
-def _chunked(terms: list, acc: str) -> list:
-    """``0.0 + t0 + t1 + ...`` cut into sums of ``_CHUNK`` terms, each after the first carrying ``acc``."""
-    return [f"{acc if i else '0.0'} + {' + '.join(terms[i:i + _CHUNK])}" for i in range(0, len(terms), _CHUNK)]
 
 
 def _row_kernel(n: int):
@@ -66,30 +61,28 @@ def _row_kernel(n: int):
     dimension.
     """
     xs, ys = (", ".join(f"{v}{i}" for i in range(n)) for v in "xy")
-    sums = " ".join(f"for s in [{chunk}]" for chunk in _chunked([f"x{i}*y{i}" for i in range(n)], "s"))
+    terms = [f"x{i}*y{i}" for i in range(n)]
+    sums = " ".join(f"for s in [{'s' if i else '0.0'} + {' + '.join(terms[i:i + _CHUNK])}]" for i in range(0, n, _CHUNK))
     namespace: dict = {}
-    exec(f"def kernel(a, cols):\n    return tuple([tuple([s for ({ys},) in cols {sums}]) for ({xs},) in a])", namespace)
-    return namespace["kernel"]
+    exec(f"def row(a, cols):\n    return tuple([tuple([s for ({ys},) in cols {sums}]) for ({xs},) in a])", namespace)
+    return namespace["row"]
 
 
 def _whole_kernel(m: int, n: int, p: int):
     """Compile the product kernel for ``m`` rows against ``p`` columns of length ``n``.
 
-    ``a`` and ``cols`` are unpacked into locals once, and each entry is
-    one statement per chunk, ``e{r}_{c} = 0.0 + x{r}_0*y{c}_0 + ...``,
-    so the whole product is straight-line code.  Its source grows as
+    ``a`` and ``cols`` are unpacked into locals once, and the product is
+    one expression whose entries are each one sum of at most ``_CHUNK``
+    products, ``0.0 + x{r}_0*y{c}_0 + ...``.  Its source grows as
     ``m*n*p``, which ``_UNROLL_BUDGET`` caps.
     """
     rows = [[f"x{r}_{k}" for k in range(n)] for r in range(m)]
     cols = [[f"y{c}_{k}" for k in range(n)] for c in range(p)]
     body = [f"[[{'], ['.join(map(', '.join, rows))}]] = a", f"[[{'], ['.join(map(', '.join, cols))}]] = cols"]
-    for r, row in enumerate(rows):
-        for c, col in enumerate(cols):
-            body += (f"e{r}_{c} = {chunk}" for chunk in _chunked([f"{x}*{y}" for x, y in zip(row, col)], f"e{r}_{c}"))
-    entries = "".join(f"({''.join(f'e{r}_{c}, ' for c in range(p))}), " for r in range(m))
+    entries = "".join("(" + "".join(f"0.0 + {' + '.join(map('{}*{}'.format, row, col))}, " for col in cols) + "), " for row in rows)
     namespace: dict = {}
-    exec("def kernel(a, cols):\n    " + "\n    ".join(body) + f"\n    return ({entries})", namespace)
-    return namespace["kernel"]
+    exec("def whole(a, cols):\n    " + "\n    ".join(body) + f"\n    return ({entries})", namespace)
+    return namespace["whole"]
 
 
 def _matmul(a: tuple, cols: tuple) -> tuple:
@@ -99,16 +92,17 @@ def _matmul(a: tuple, cols: tuple) -> tuple:
     from ``0.0``: ``sum``'s value up to Python 3.11, where its integer
     start turns a ``-0.0`` first product into ``0.0``, and kept from 3.12
     on, where ``sum`` compensates float sums.  Straight-line code
-    computes it, compiled once per shape.  A product of at most
-    ``_UNROLL_BUDGET`` multiply-adds is written out whole; a larger one
-    runs a kernel per row, because the whole product's source grows as
-    ``m*n*p`` (424 ms to compile at dim 100).
+    computes it, compiled once per shape.  A product is written out
+    whole when it has at most ``_UNROLL_BUDGET`` multiply-adds (its
+    source grows as ``m*n*p``: 424 ms to compile at dim 100) and dot
+    products of at most ``_CHUNK``; any other runs a kernel per row, the
+    only one that cuts a sum into chunks, so no sum nests deeper.
     """
     shape = len(a), len(cols[0]), len(cols)
     kernel = _KERNELS.get(shape)
     if kernel is None:
         m, n, p = shape
-        kernel = _KERNELS[shape] = _whole_kernel(m, n, p) if m * n * p <= _UNROLL_BUDGET else _row_kernel(n)
+        kernel = _KERNELS[shape] = _whole_kernel(m, n, p) if m * n * p <= _UNROLL_BUDGET and n <= _CHUNK else _row_kernel(n)
     return kernel(a, cols)
 
 

@@ -14,24 +14,16 @@ of two ``matcheck`` calls.  It needs no test framework::
 import contextlib
 import hashlib
 import io
-import json
 import os
 import sys
-import tempfile
 
 from ncpoly import Matrix, RandSpec, evaluate, homomorphism_check, random_assignment, random_element
 from ncpoly.cli import main
 
 DIMS = (2, 3, 5, 8)
 
-# the --matrices fixture of the CI's console-script step
-FIXTURE = {
-    "bindings": {
-        "x": {"dim": 3, "rows": [[2, 1, 0], [1, 3, 1], [0, 1, 4]]},
-        "y": {"dim": 3, "rows": [[1, 2, 0], [0, 1, 0], [3, 0, 1]]},
-        "z": {"dim": 3, "rows": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]},
-    }
-}
+# x, y and z at dim 3, the --matrices fixture of the CI's console-script step too
+FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "xyz_matrices.json")
 
 
 def record(call, *args) -> str:
@@ -65,11 +57,7 @@ def records(seeds: int, dims=DIMS):
             m, p = cold.bindings[24], cold.bindings[25]
             yield record(m.__matmul__, p)
             yield record(lambda: m.inverse() @ m)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(FIXTURE, handle)
-        yield matcheck_stdout("xY + 2z", "Xy", "--matrices", path)
+    yield matcheck_stdout("xY + 2z", "Xy", "--matrices", FIXTURE)
     yield matcheck_stdout("xY + 2z", "Xy", "--seed", "3", "--dim", "4")
 
 

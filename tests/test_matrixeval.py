@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 import random
 import subprocess
@@ -502,19 +503,19 @@ def test_matmul_kernels_on_both_sides_of_the_unroll_budget(rows, dim):
     a, b = ([[rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3)]) for _ in range(dim)] for _ in range(n)] for n in (rows, dim))
     got = matrixeval._matmul(tuple(map(tuple, a)), tuple(zip(*b)))
     assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
-    # only the whole-product kernel holds each entry in a local of its own
-    whole = "e0_0" in matrixeval._KERNELS[rows, dim, dim].__code__.co_varnames
-    assert whole == (rows * dim * dim <= matrixeval._UNROLL_BUDGET)
+    kernel = "whole" if rows * dim * dim <= matrixeval._UNROLL_BUDGET else "row"
+    assert matrixeval._KERNELS[rows, dim, dim].__name__ == kernel
 
 
-def test_matmul_whole_kernel_carries_the_sum_across_chunks():
-    # one 1,024-long row against one column: the budget exactly, in 16 chunks of 64 products
+def test_matmul_row_kernel_carries_the_sum_across_16_chunks():
+    # one 1,024-long row against one column: within the budget, but each dot product is
+    # longer than one chunk, so it runs per row, in 16 chunks of 64 products
     rng = random.Random(1024)
     row = tuple(rng.gauss(0, 1) for _ in range(1024))
     col = tuple(rng.gauss(0, 1) for _ in range(1024))
     (got,) = matrixeval._matmul((row,), (col,))
     assert _hex_rows([got]) == _hex_rows([[dot(row, col)]])
-    assert "e0_0" in matrixeval._KERNELS[1, 1024, 1].__code__.co_varnames
+    assert matrixeval._KERNELS[1, 1024, 1].__name__ == "row"
 
 
 def test_matmul_kernel_has_no_nesting_limit():
@@ -524,6 +525,27 @@ def test_matmul_kernel_has_no_nesting_limit():
     col = tuple(rng.gauss(0, 1) for _ in range(5000))
     (got,) = matrixeval._matmul((row,), (col,))
     assert _hex_rows([got]) == _hex_rows([[dot(row, col)]])
+
+
+def test_matmul_kernels_compile_deep_in_the_stack(monkeypatch):
+    # the compiler nests one level per product of a sum, and no generated sum is longer
+    # than 64 products, so every kernel compiles 60 frames short of the recursion limit;
+    # there a 1,024-product sum raises RecursionError on Python 3.10 and 3.11
+    monkeypatch.setattr(matrixeval, "_KERNELS", {})
+    rng = random.Random(60)
+    blocks = [
+        ([[rng.gauss(0, 1) for _ in range(n)] for _ in range(m)], [[rng.gauss(0, 1) for _ in range(p)] for _ in range(n)])
+        for m, n, p in [(1, 1024, 1), (3, 100, 3), (10, 10, 10), (1, 5000, 1)]
+    ]
+
+    def deep(frames):
+        if frames > 0:
+            return deep(frames - 1)
+        return [matrixeval._matmul(tuple(map(tuple, a)), tuple(zip(*b))) for a, b in blocks]
+
+    results = deep(sys.getrecursionlimit() - 60 - len(inspect.stack(0)))
+    for (a, b), got in zip(blocks, results):
+        assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
 
 
 def test_matrix_results_are_pinned_bitwise():
