@@ -15,6 +15,12 @@ as fast as a loop over the dot product.  A product of at most 1,024
 multiply-adds and dot products of at most 64, such as any square one
 up to dim 10, is written out whole; any other runs a kernel per row,
 in 64-product chunks.  Each is compiled once per shape.
+
+``evaluate`` and ``homomorphism_check`` run one fold over an element's
+words, which adds each scaled word into the total as ``t + p*k`` per
+entry.  Up to dim 10 that sum is also one generated expression,
+compiled once per dim; above, it runs through ``map``.  The three folds
+of a check share one table of symbol images.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ class SingularMatrix(ArithmeticError):
 _KERNELS: dict = {}
 _CHUNK = 64  # products per generated sum, which the compiler nests one level each
 _UNROLL_BUDGET = 1024  # multiply-adds a product may take and still be written out whole
+_ACCUMULATORS: dict = {}  # dim -> the kernel that adds a scaled word into a total
 
 
 def _row_kernel(n: int):
@@ -104,6 +111,34 @@ def _matmul(a: tuple, cols: tuple) -> tuple:
         m, n, p = shape
         kernel = _KERNELS[shape] = _whole_kernel(m, n, p) if m * n * p <= _UNROLL_BUDGET and n <= _CHUNK else _row_kernel(n)
     return kernel(a, cols)
+
+
+def _accumulator(n: int):
+    """The kernel that adds ``p*k`` into ``t``, both ``n x n`` rows, as ``t + p*k`` per entry.
+
+    It is written out whole where ``_matmul`` writes the square product
+    whole: its source grows as ``n*n``, 169 ms and 44 MB to compile at
+    dim 100.  Above, ``map`` does the sum.
+    """
+    kernel = _ACCUMULATORS.get(n)
+    if kernel is None:
+        kernel = _ACCUMULATORS[n] = _whole_accumulator(n) if n**3 <= _UNROLL_BUDGET else _accumulate_rows
+    return kernel
+
+
+def _whole_accumulator(n: int):
+    """Compile ``accumulate``: ``t`` and ``p`` unpacked into locals, then one expression of ``t{r}_{c} + p{r}_{c}*k``."""
+    t, p = ([[f"{v}{r}_{c}" for c in range(n)] for r in range(n)] for v in "tp")
+    body = [f"[[{'], ['.join(map(', '.join, t))}]] = t", f"[[{'], ['.join(map(', '.join, p))}]] = p"]
+    rows = "".join("(" + "".join(map("{} + {}*k, ".format, tr, pr)) + "), " for tr, pr in zip(t, p))
+    namespace: dict = {}
+    exec("def accumulate(t, p, k):\n    " + "\n    ".join(body) + f"\n    return ({rows})", namespace)
+    return namespace["accumulate"]
+
+
+def _accumulate_rows(t: tuple, p: tuple, k: float) -> tuple:
+    """``t + p*k`` per entry through ``map``, regrouped into rows."""
+    return tuple(zip(*[map(add, chain.from_iterable(t), map(mul, chain.from_iterable(p), repeat(k)))] * len(t)))
 
 
 def _check_dim(dim, what: str) -> None:
@@ -292,17 +327,30 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
     letter's binding cannot be inverted and NonFiniteCoefficient when
     the value overflows.
 
-    Each symbol's image is found once per call; an inverse letter's is
+    Each symbol's image is found once per call (``homomorphism_check``
+    shares one table between its three folds); an inverse letter's is
     its binding's ``inverse()``, factored once per matrix lifetime.
     Words come in ``terms()`` order, so neighbours share long prefixes:
     each word reuses the stacked products of the prefix it shares with
     the word before it.  Every word is still the left fold
-    ``M1 @ M2 @ ...``, added in the same order, so the result is
-    bitwise equal to folding each word from scratch.
+    ``M1 @ M2 @ ...``, scaled and added into the total entry by entry as
+    ``t + p*k`` in the same order, so the result is bitwise equal to
+    folding each word from scratch.
+    """
+    return Matrix._from_rows(_fold(element, assignment, {}))
+
+
+def _fold(element: Element, assignment: MatrixAssignment, images: dict) -> tuple:
+    """The rows of ``evaluate(element, assignment)``, unchecked.
+
+    ``images`` maps a symbol rank to ``[rows, columns]`` of its image
+    and gains every image the fold finds, so folds given one table find
+    each image once.  The columns are transposed on the image's first
+    use as a right factor, so a transpose no product needs is not kept.
     """
     dim = assignment.dim
-    images: dict[int, tuple] = {}  # symbol rank -> (rows, columns)
-    total = [0.0] * (dim * dim)  # row-major
+    accumulate = _accumulator(dim)
+    total = ((0.0,) * dim,) * dim
     prefix: list[tuple] = []  # prefix[k]: product of the first k+1 symbols of prev
     prev = b""
     for word, coeff in element._sorted():
@@ -310,14 +358,18 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
         shared = next(compress(count(), map(ne, word, prev)), min(len(word), len(prev)))
         del prefix[shared:]
         for rank in word[shared:]:
-            if rank not in images:
-                images[rank] = _image(SYMBOLS[rank], assignment)
-            rows, cols = images[rank]
-            prefix.append(_matmul(prefix[-1], cols) if prefix else rows)
-        product = prefix[-1] if word else Matrix.identity(dim).rows
+            image = images.get(rank)
+            if image is None:
+                image = images[rank] = [_image(SYMBOLS[rank], assignment), None]
+            if prefix:
+                if image[1] is None:
+                    image[1] = tuple(zip(*image[0]))
+                prefix.append(_matmul(prefix[-1], image[1]))
+            else:
+                prefix.append(image[0])
         prev = word
-        total = list(map(add, total, map(mul, chain.from_iterable(product), repeat(coeff))))
-    return Matrix._from_rows(tuple(zip(*[iter(total)] * dim)))
+        total = accumulate(total, prefix[-1] if word else Matrix.identity(dim).rows, coeff)
+    return total
 
 
 def _image(sym: int, assignment: MatrixAssignment) -> tuple:
@@ -326,8 +378,7 @@ def _image(sym: int, assignment: MatrixAssignment) -> tuple:
     matrix = bindings.get(key % DIFF_BASE)
     if matrix is None:
         raise UnboundLetter(symbol_text(key))
-    image = matrix.inverse() if sym < 0 else matrix
-    return image.rows, tuple(zip(*image.rows))
+    return (matrix.inverse() if sym < 0 else matrix).rows
 
 
 HomomorphismReport = namedtuple("HomomorphismReport", "max_abs_residual max_rel_residual passed")
@@ -340,16 +391,19 @@ def homomorphism_check(
 
     With residual ``R`` being their difference, the check passes when
     ``max|R| <= tol * (1 + max|evaluate(a*b)|)``; the reported relative
-    residual is ``max|R|`` divided by that scale.  Each bound matrix
-    keeps its inverse, so the three evaluations factor a binding once.
+    residual is ``max|R|`` divided by that scale.  The three folds, of
+    ``a``, of ``b`` and of ``a * b`` in that order, share one image
+    table, so each symbol's image is found once per check; each bound
+    matrix keeps its inverse, so a binding is factored once in all.
     A ``tol`` outside ``[0, inf)`` is refused before any evaluation.
     """
     if isinstance(tol, bool) or not isinstance(tol, (int, float)):
         raise TypeError(f"tol must be a real number, got {tol!r}")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and not negative, got {tol}")
-    product = evaluate(a, assignment) @ evaluate(b, assignment)
-    direct = evaluate(a * b, assignment)
+    images: dict = {}
+    product = Matrix._from_rows(_fold(a, assignment, images)) @ Matrix._from_rows(_fold(b, assignment, images))
+    direct = Matrix._from_rows(_fold(a * b, assignment, images))
     residual = map(sub, chain.from_iterable(product.rows), chain.from_iterable(direct.rows))
     max_abs = max(map(abs, residual))
     scale = 1.0 + direct.max_abs()

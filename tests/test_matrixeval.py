@@ -403,6 +403,22 @@ def test_homomorphism_check_equals_separate_evaluations(a, b, dim, seed, singula
     assert repr(_outcome(homomorphism_check, a, b, assignment)) == repr(expected)
 
 
+@given(st.integers(0, 2**32), st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32))
+def test_sharing_one_image_table_changes_no_bits(seed, n_terms, dim, assignment_seed):
+    # inverse-rich pairs over xyz, with the empty word and words up to 5 symbols
+    a, b = (
+        random_element(RandSpec(seed=seed + i, n_terms=n_terms, alphabet="xyz", word_len=(0, 5), coeff_range=(-9, 9), allow_inverse=True))
+        for i in range(2)
+    )
+    assignment = random_assignment("xyz", dim, assignment_seed)
+    report = homomorphism_check(a, b, assignment)
+    expected = _check_by_separate_evaluations(a, b, assignment)
+    # float.hex tells every residual bit, and 0.0 from -0.0
+    assert report.max_abs_residual.hex() == expected.max_abs_residual.hex()
+    assert report.max_rel_residual.hex() == expected.max_rel_residual.hex()
+    assert report.passed is expected.passed
+
+
 def test_computed_matrices_are_checked_for_finiteness():
     huge = Matrix([[1e200]])
     with pytest.raises(NonFiniteCoefficient):
@@ -546,6 +562,47 @@ def test_matmul_kernels_compile_deep_in_the_stack(monkeypatch):
     results = deep(sys.getrecursionlimit() - 60 - len(inspect.stack(0)))
     for (a, b), got in zip(blocks, results):
         assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
+
+
+def _accumulated_by_hand(t, p, k):
+    return [[(x + y * k).hex() for x, y in zip(tr, pr)] for tr, pr in zip(t, p)]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 10, 11])
+def test_accumulate_kernels_on_both_sides_of_the_cap(monkeypatch, dim):
+    # dims 1 to 10 have a square product written whole, and so is their accumulate kernel;
+    # from dim 11 on it runs through map
+    monkeypatch.setattr(matrixeval, "_ACCUMULATORS", {})
+    evaluate(parse("2x"), random_assignment("x", dim, seed=dim))
+    kernel = matrixeval._ACCUMULATORS[dim]
+    assert kernel is matrixeval._accumulator(dim)
+    assert kernel.__name__ == ("accumulate" if dim <= 10 else "_accumulate_rows")
+    rng = random.Random(dim)
+    t, p = (tuple(tuple(rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3)]) for _ in range(dim)) for _ in range(dim)) for _ in "tp")
+    for k in (1.5, -0.25, 3.0, 0.1):
+        assert _hex_rows(kernel(t, p, k)) == _accumulated_by_hand(t, p, k)
+    # a -0.0 total plus a -0.0 product stays -0.0, and plus a 0.0 product becomes 0.0
+    zeros = ((-0.0,) * dim,) * dim
+    assert _hex_rows(kernel(zeros, zeros, 1.0)) == [[(-0.0).hex()] * dim] * dim
+    assert _hex_rows(kernel(zeros, zeros, -1.0)) == [[(0.0).hex()] * dim] * dim
+
+
+def test_accumulate_kernels_compile_deep_in_the_stack(monkeypatch):
+    # the sibling of the product kernels' test: the whole accumulate kernel at dim 10 and
+    # the kernels above the cap at dims 11 and 100 build 60 frames short of the recursion limit
+    monkeypatch.setattr(matrixeval, "_ACCUMULATORS", {})
+    rng = random.Random(61)
+    dims = [10, 11, 100]
+    blocks = [tuple(tuple(rng.gauss(0, 1) for _ in range(n)) for _ in range(2 * n)) for n in dims]
+
+    def deep(frames):
+        if frames > 0:
+            return deep(frames - 1)
+        return [matrixeval._accumulator(n)(block[:n], block[n:], 0.75) for n, block in zip(dims, blocks)]
+
+    results = deep(sys.getrecursionlimit() - 60 - len(inspect.stack(0)))
+    for n, block, got in zip(dims, blocks, results):
+        assert _hex_rows(got) == _accumulated_by_hand(block[:n], block[n:], 0.75)
 
 
 def test_matrix_results_are_pinned_bitwise():
