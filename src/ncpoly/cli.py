@@ -426,7 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inverse", action="store_true")
     p.set_defaults(func=_cmd_rand)
 
-    p = sub.add_parser("matcheck", help="numerically verify eval(a) @ eval(b) == eval(a*b)")
+    p = sub.add_parser("matcheck", help="numerically verify eval(a) @ eval(b) == eval(a*b)", description=(
+        "Numerically verify eval(a) @ eval(b) == eval(a*b) on square matrices. A dim-D check cannot see an error "
+        "in a*b that is a polynomial identity of D x D matrices. The lowest-degree such identity is the standard "
+        "polynomial S_2D (Amitsur-Levitzki, Proc. AMS 1 (1950) 449-463), so the default --dim 5 is blind from "
+        "degree 10. This is claimed for inverse-free elements only."))
     p.add_argument("expr_a")
     p.add_argument("expr_b")
     p.add_argument("--dim", type=int, default=None)

@@ -11,7 +11,8 @@ Each entry of a matrix product is the left-to-right double sum of its
 products, starting from ``0.0``, the same on every supported Python
 (``sum`` compensates float sums from 3.12 on, so it is not used).  The
 product runs through generated straight-line code, which is about twice
-as fast as a loop over the dot product.  A product of at most 1,024
+as fast as a loop over the dot product; it takes both factors as rows,
+the one layout the module keeps.  A product of at most 1,024
 multiply-adds and dot products of at most 64, such as any square one
 up to dim 10, is written out whole; any other runs a kernel per row,
 in 64-product chunks.  Each is compiled once per shape.
@@ -20,7 +21,8 @@ in 64-product chunks.  Each is compiled once per shape.
 words, which adds each scaled word into the total as ``t + p*k`` per
 entry.  Up to dim 10 that sum is also one generated expression,
 compiled once per dim; above, it runs through ``map``.  The three folds
-of a check share one table of symbol images.
+of a check share one table of symbol images, which holds each image's
+rows.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class SingularMatrix(ArithmeticError):
     """An inverse was requested but a pivot fell below the singularity threshold."""
 
 
-# (rows, row length, columns) of a product -> its compiled kernel, ``whole`` or
+# (rows of a, rows of b, columns of b) of a product -> its compiled kernel, ``whole`` or
 # ``row``; two threads that miss at once each compile an equal kernel, and either may stay
 _KERNELS: dict = {}
 _CHUNK = 64  # products per generated sum, which the compiler nests one level each
@@ -61,7 +63,8 @@ _ACCUMULATORS: dict = {}  # dim -> the kernel that adds a scaled word into a tot
 def _row_kernel(n: int):
     """Compile the product kernel for any rows of length ``n``; see ``_matmul``.
 
-    The dot product is written out, so it runs as straight-line
+    It transposes ``b`` once per call, the only transpose the package
+    makes.  The dot product is written out, so it runs as straight-line
     bytecode, once per row and column.  Its chunks carry one accumulator
     ``s`` (``for s in [...]`` is a plain assignment in a comprehension),
     so the source grows as O(n) and its nesting stays bounded at every
@@ -71,29 +74,29 @@ def _row_kernel(n: int):
     terms = [f"x{i}*y{i}" for i in range(n)]
     sums = " ".join(f"for s in [{'s' if i else '0.0'} + {' + '.join(terms[i:i + _CHUNK])}]" for i in range(0, n, _CHUNK))
     namespace: dict = {}
-    exec(f"def row(a, cols):\n    return tuple([tuple([s for ({ys},) in cols {sums}]) for ({xs},) in a])", namespace)
+    exec(f"def row(a, b):\n    cols = [*zip(*b)]\n    return tuple([tuple([s for ({ys},) in cols {sums}]) for ({xs},) in a])", namespace)
     return namespace["row"]
 
 
 def _whole_kernel(m: int, n: int, p: int):
-    """Compile the product kernel for ``m`` rows against ``p`` columns of length ``n``.
+    """Compile the product kernel for ``m`` rows of length ``n`` against ``n`` rows of length ``p``.
 
-    ``a`` and ``cols`` are unpacked into locals once, and the product is
+    ``a`` and ``b`` are unpacked into locals once, and the product is
     one expression whose entries are each one sum of at most ``_CHUNK``
-    products, ``0.0 + x{r}_0*y{c}_0 + ...``.  Its source grows as
-    ``m*n*p``, which ``_UNROLL_BUDGET`` caps.
+    products, ``0.0 + x{r}_0*y0_{c} + x{r}_1*y1_{c} + ...``.  Its source
+    grows as ``m*n*p``, which ``_UNROLL_BUDGET`` caps.
     """
-    rows = [[f"x{r}_{k}" for k in range(n)] for r in range(m)]
-    cols = [[f"y{c}_{k}" for k in range(n)] for c in range(p)]
-    body = [f"[[{'], ['.join(map(', '.join, rows))}]] = a", f"[[{'], ['.join(map(', '.join, cols))}]] = cols"]
-    entries = "".join("(" + "".join(f"0.0 + {' + '.join(map('{}*{}'.format, row, col))}, " for col in cols) + "), " for row in rows)
+    xs = [[f"x{r}_{k}" for k in range(n)] for r in range(m)]
+    ys = [[f"y{k}_{c}" for c in range(p)] for k in range(n)]
+    body = [f"[[{'], ['.join(map(', '.join, xs))}]] = a", f"[[{'], ['.join(map(', '.join, ys))}]] = b"]
+    entries = "".join("(" + "".join(f"0.0 + {' + '.join(map('{}*{}'.format, row, col))}, " for col in zip(*ys)) + "), " for row in xs)
     namespace: dict = {}
-    exec("def whole(a, cols):\n    " + "\n    ".join(body) + f"\n    return ({entries})", namespace)
+    exec("def whole(a, b):\n    " + "\n    ".join(body) + f"\n    return ({entries})", namespace)
     return namespace["whole"]
 
 
-def _matmul(a: tuple, cols: tuple) -> tuple:
-    """Schoolbook product of rows ``a`` (any number) and a right factor given by its columns.
+def _matmul(a: tuple, b: tuple) -> tuple:
+    """Schoolbook product of rows ``a`` (any number) and rows ``b``.
 
     Each entry is the left-to-right double sum of its products, starting
     from ``0.0``: ``sum``'s value up to Python 3.11, where its integer
@@ -105,12 +108,12 @@ def _matmul(a: tuple, cols: tuple) -> tuple:
     products of at most ``_CHUNK``; any other runs a kernel per row, the
     only one that cuts a sum into chunks, so no sum nests deeper.
     """
-    shape = len(a), len(cols[0]), len(cols)
+    shape = len(a), len(b), len(b[0])
     kernel = _KERNELS.get(shape)
     if kernel is None:
         m, n, p = shape
         kernel = _KERNELS[shape] = _whole_kernel(m, n, p) if m * n * p <= _UNROLL_BUDGET and n <= _CHUNK else _row_kernel(n)
-    return kernel(a, cols)
+    return kernel(a, b)
 
 
 def _accumulator(n: int):
@@ -211,7 +214,7 @@ class Matrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Matrix._from_rows(_matmul(self.rows, tuple(zip(*other.rows))))
+        return Matrix._from_rows(_matmul(self.rows, other.rows))
 
     def max_abs(self) -> float:
         return max(map(abs, chain.from_iterable(self.rows)))
@@ -343,10 +346,9 @@ def evaluate(element: Element, assignment: MatrixAssignment) -> Matrix:
 def _fold(element: Element, assignment: MatrixAssignment, images: dict) -> tuple:
     """The rows of ``evaluate(element, assignment)``, unchecked.
 
-    ``images`` maps a symbol rank to ``[rows, columns]`` of its image
-    and gains every image the fold finds, so folds given one table find
-    each image once.  The columns are transposed on the image's first
-    use as a right factor, so a transpose no product needs is not kept.
+    ``images`` maps a symbol rank to the rows of its image and gains
+    every image the fold finds, so folds given one table find each
+    image once.  Every product takes both factors as rows.
     """
     dim = assignment.dim
     accumulate = _accumulator(dim)
@@ -360,13 +362,8 @@ def _fold(element: Element, assignment: MatrixAssignment, images: dict) -> tuple
         for rank in word[shared:]:
             image = images.get(rank)
             if image is None:
-                image = images[rank] = [_image(SYMBOLS[rank], assignment), None]
-            if prefix:
-                if image[1] is None:
-                    image[1] = tuple(zip(*image[0]))
-                prefix.append(_matmul(prefix[-1], image[1]))
-            else:
-                prefix.append(image[0])
+                image = images[rank] = _image(SYMBOLS[rank], assignment)
+            prefix.append(_matmul(prefix[-1], image) if prefix else image)
         prev = word
         total = accumulate(total, prefix[-1] if word else Matrix.identity(dim).rows, coeff)
     return total

@@ -1,5 +1,6 @@
 import copy
 import inspect
+import itertools
 import pickle
 import random
 import subprocess
@@ -324,7 +325,8 @@ def prefix_sharing_elements(draw):
     return Element([(w, draw(tenths)) for w in sorted(chosen)])
 
 
-@given(prefix_sharing_elements(), st.integers(1, 4), st.integers(0, 2**32))
+# dim 11 is above both caps: its products run per row and its words add through map
+@given(prefix_sharing_elements(), st.sampled_from([1, 2, 3, 4, 11]), st.integers(0, 2**32))
 def test_evaluate_equals_folding_each_word_from_scratch(element, dim, seed):
     assignment = random_assignment("ab", dim, seed, diff_letters="ab")
     images = {}
@@ -506,7 +508,7 @@ def _hex_rows(rows):
 @example(([[-0.0, -0.0]], [[1.0, 0.0], [1.0, 0.0]]))
 def test_matmul_kernel_equals_the_oracle_bitwise(block):
     a, b = block
-    got = matrixeval._matmul(tuple(map(tuple, a)), tuple(zip(*b)))
+    got = matrixeval._matmul(tuple(map(tuple, a)), tuple(map(tuple, b)))
     # float.hex tells 0.0 from -0.0, which == does not
     assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
 
@@ -517,7 +519,7 @@ def test_matmul_kernels_on_both_sides_of_the_unroll_budget(rows, dim):
     # row; 1 row against 8 columns and 3 against 5 are probe-block shapes of the whole kernel
     rng = random.Random(100 * rows + dim)
     a, b = ([[rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3)]) for _ in range(dim)] for _ in range(n)] for n in (rows, dim))
-    got = matrixeval._matmul(tuple(map(tuple, a)), tuple(zip(*b)))
+    got = matrixeval._matmul(tuple(map(tuple, a)), tuple(map(tuple, b)))
     assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
     kernel = "whole" if rows * dim * dim <= matrixeval._UNROLL_BUDGET else "row"
     assert matrixeval._KERNELS[rows, dim, dim].__name__ == kernel
@@ -529,7 +531,7 @@ def test_matmul_row_kernel_carries_the_sum_across_16_chunks():
     rng = random.Random(1024)
     row = tuple(rng.gauss(0, 1) for _ in range(1024))
     col = tuple(rng.gauss(0, 1) for _ in range(1024))
-    (got,) = matrixeval._matmul((row,), (col,))
+    (got,) = matrixeval._matmul((row,), tuple(zip(col)))
     assert _hex_rows([got]) == _hex_rows([[dot(row, col)]])
     assert matrixeval._KERNELS[1, 1024, 1].__name__ == "row"
 
@@ -539,7 +541,7 @@ def test_matmul_kernel_has_no_nesting_limit():
     rng = random.Random(5000)
     row = tuple(rng.gauss(0, 1) for _ in range(5000))
     col = tuple(rng.gauss(0, 1) for _ in range(5000))
-    (got,) = matrixeval._matmul((row,), (col,))
+    (got,) = matrixeval._matmul((row,), tuple(zip(col)))
     assert _hex_rows([got]) == _hex_rows([[dot(row, col)]])
 
 
@@ -557,7 +559,7 @@ def test_matmul_kernels_compile_deep_in_the_stack(monkeypatch):
     def deep(frames):
         if frames > 0:
             return deep(frames - 1)
-        return [matrixeval._matmul(tuple(map(tuple, a)), tuple(zip(*b))) for a, b in blocks]
+        return [matrixeval._matmul(tuple(map(tuple, a)), tuple(map(tuple, b))) for a, b in blocks]
 
     results = deep(sys.getrecursionlimit() - 60 - len(inspect.stack(0)))
     for (a, b), got in zip(blocks, results):
@@ -609,9 +611,31 @@ def test_matrix_results_are_pinned_bitwise():
     # the same bits on every supported Python: no entry goes through sum(),
     # which compensates float sums from 3.12 on
     assert float_digest.digest(4, dims=(3, 8)) == "b18eef2dc4dd81942e53c5a1abe47dc0e53326dc900ec92d9ad930164d4b7429"
+    # dim 11 runs the per-row product kernel and the map accumulate
+    assert float_digest.digest(4, dims=(11,)) == "21aed8e201ede7abe54d09a7f80723128a428f667aa3ec08eef36edd0419eb5e"
     a, b = parse("xY + 2z - 0.5zX"), parse("Xy + yyz")
     report = homomorphism_check(a, b, random_assignment("xyz", 8, seed=21))
     assert repr(report) == (
         "HomomorphismReport(max_abs_residual=6.750155989720952e-14, "
         "max_rel_residual=5.07156047633759e-16, passed=True)"
     )
+
+
+def _standard_polynomial(n):
+    """``S_n = sum of sign(p) * x_p(1)...x_p(n)`` over the permutations of the first ``n`` letters."""
+    terms = []
+    for p in itertools.permutations(range(1, n + 1)):
+        inversions = sum(i > j for i, j in itertools.combinations(p, 2))
+        terms.append((p, -1.0 if inversions % 2 else 1.0))
+    return Element(terms)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_dim_d_check_is_blind_to_the_standard_polynomial_of_degree_2d(d):
+    # Amitsur-Levitzki: S_2d is an identity of d x d matrices and of no larger ones, so an
+    # error of S_2d in a*b passes every dim-d check and shows at dim d+1
+    s = _standard_polynomial(2 * d)
+    letters = "abcdef"[: 2 * d]
+    for seed in (1, 2, 3):
+        assert evaluate(s, random_assignment(letters, d, seed)).max_abs() <= 1e-10
+        assert evaluate(s, random_assignment(letters, d + 1, seed)).max_abs() >= 0.1
