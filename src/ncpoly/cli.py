@@ -429,14 +429,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matcheck", help="numerically verify eval(a) @ eval(b) == eval(a*b)", description=(
         "Numerically verify eval(a) @ eval(b) == eval(a*b) on square matrices. A dim-D check cannot see an error "
         "in a*b that is a polynomial identity of D x D matrices. The lowest-degree such identity is the standard "
-        "polynomial S_2D (Amitsur-Levitzki, Proc. AMS 1 (1950) 449-463), so the default --dim 5 is blind from "
-        "degree 10. This is claimed for inverse-free elements only."))
+        f"polynomial S_2D (Amitsur-Levitzki, Proc. AMS 1 (1950) 449-463), so the default --dim {DEFAULT_DIM} is "
+        f"blind from degree {2 * DEFAULT_DIM}. This is claimed for inverse-free elements only."))
     p.add_argument("expr_a")
     p.add_argument("expr_b")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    max_dim = round(POWER_LIMIT ** (1 / 3))  # the integer cube root, less one if it rounded up
+    max_dim -= max_dim**3 > POWER_LIMIT
+    p.add_argument("--dim", type=int, default=None, help=(
+        f"matrix dimension, default {DEFAULT_DIM} (a --matrices fixture gives its own); each product takes "
+        f"dim**3 multiply-adds, and dim**3 <= {POWER_LIMIT}, so dim is at most {max_dim}"))
+    p.add_argument("--tol", type=float, default=1e-9, help=(
+        "the check passes when max|R| <= TOL * (1 + max|eval(a*b)|), R = eval(a) @ eval(b) - eval(a*b) "
+        "(default %(default)s)"))
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--seed", type=int)
+    source.add_argument("--seed", type=int, help=(
+        "bind each letter, in alphabet order, to a matrix of standard-normal draws from one SplitMix64 stream "
+        "with this seed"))
     source.add_argument("--matrices", help="JSON fixture with explicit matrix bindings")
     p.set_defaults(func=_cmd_matcheck)
 

@@ -12,17 +12,16 @@ products, starting from ``0.0``, the same on every supported Python
 (``sum`` compensates float sums from 3.12 on, so it is not used).  The
 product runs through generated straight-line code, which is about twice
 as fast as a loop over the dot product; it takes both factors as rows,
-the one layout the module keeps.  A product of at most 1,024
-multiply-adds and dot products of at most 64, such as any square one
-up to dim 10, is written out whole; any other runs a kernel per row,
-in 64-product chunks.  Each is compiled once per shape.
+the one layout the module keeps.
 
 ``evaluate`` and ``homomorphism_check`` run one fold over an element's
 words, which adds each scaled word into the total as ``t + p*k`` per
-entry.  Up to dim 10 that sum is also one generated expression,
-compiled once per dim; above, it runs through ``map``.  The three folds
-of a check share one table of symbol images, which holds each image's
-rows.
+entry.  The product and that step are one kernel pair per dim, compiled
+once: up to dim 10, where a product takes at most 1,024 multiply-adds,
+each is one generated expression; above, the product runs a kernel per
+row, in 64-product chunks, and the step runs through ``map``.  The three
+folds of a check share one table of symbol images, which holds each
+image's rows.
 """
 
 from __future__ import annotations
@@ -52,23 +51,45 @@ class SingularMatrix(ArithmeticError):
     """An inverse was requested but a pivot fell below the singularity threshold."""
 
 
-# (rows of a, rows of b, columns of b) of a product -> its compiled kernel, ``whole`` or
-# ``row``; two threads that miss at once each compile an equal kernel, and either may stay
+# dim -> its compiled (product, accumulate) pair; two threads that miss at once each
+# compile an equal pair, and either may stay
 _KERNELS: dict = {}
 _CHUNK = 64  # products per generated sum, which the compiler nests one level each
 _UNROLL_BUDGET = 1024  # multiply-adds a product may take and still be written out whole
-_ACCUMULATORS: dict = {}  # dim -> the kernel that adds a scaled word into a total
+
+
+def _kernels(n: int) -> tuple:
+    """The ``(product, accumulate)`` pair for ``n x n`` rows, compiled once per dim.
+
+    ``product(a, b)`` is the schoolbook product of rows ``a`` and rows
+    ``b``: each entry is the left-to-right double sum of its products,
+    starting from ``0.0``, which is ``sum``'s value up to Python 3.11,
+    where its integer start turns a ``-0.0`` first product into ``0.0``,
+    and is kept from 3.12 on, where ``sum`` compensates float sums.
+    ``accumulate(t, p, k)`` adds ``p*k`` into ``t`` as ``t + p*k`` per
+    entry.  While the product takes at most ``_UNROLL_BUDGET``
+    multiply-adds (dims 1 to 10), both are written out whole.  Their
+    sources grow as ``n**3`` and ``n**2``: at dim 100 the product would
+    take 424 ms to compile, and the accumulate step 169 ms and 44 MB.
+    Above the cap the product runs a kernel per row and ``map`` does the
+    accumulate step.
+    """
+    pair = _KERNELS.get(n)
+    if pair is None:
+        whole = n**3 <= _UNROLL_BUDGET
+        pair = _KERNELS[n] = (_whole_kernel(n), _whole_accumulator(n)) if whole else (_row_kernel(n), _accumulate_rows)
+    return pair
 
 
 def _row_kernel(n: int):
-    """Compile the product kernel for any rows of length ``n``; see ``_matmul``.
+    """Compile the product kernel for any rows of length ``n``, for dims above the cap.
 
     It transposes ``b`` once per call, the only transpose the package
     makes.  The dot product is written out, so it runs as straight-line
-    bytecode, once per row and column.  Its chunks carry one accumulator
-    ``s`` (``for s in [...]`` is a plain assignment in a comprehension),
-    so the source grows as O(n) and its nesting stays bounded at every
-    dimension.
+    bytecode, once per row and column.  It is cut into sums of at most
+    ``_CHUNK`` products, which carry one accumulator ``s`` (``for s in
+    [...]`` is a plain assignment in a comprehension), so the source
+    grows as O(n) and its nesting stays bounded at every dimension.
     """
     xs, ys = (", ".join(f"{v}{i}" for i in range(n)) for v in "xy")
     terms = [f"x{i}*y{i}" for i in range(n)]
@@ -78,55 +99,19 @@ def _row_kernel(n: int):
     return namespace["row"]
 
 
-def _whole_kernel(m: int, n: int, p: int):
-    """Compile the product kernel for ``m`` rows of length ``n`` against ``n`` rows of length ``p``.
+def _whole_kernel(n: int):
+    """Compile the product kernel for ``n x n`` rows, for dims up to the cap.
 
     ``a`` and ``b`` are unpacked into locals once, and the product is
-    one expression whose entries are each one sum of at most ``_CHUNK``
-    products, ``0.0 + x{r}_0*y0_{c} + x{r}_1*y1_{c} + ...``.  Its source
-    grows as ``m*n*p``, which ``_UNROLL_BUDGET`` caps.
+    one expression whose entries are each one sum of ``n`` products,
+    ``0.0 + x{r}_0*y0_{c} + x{r}_1*y1_{c} + ...``.
     """
-    xs = [[f"x{r}_{k}" for k in range(n)] for r in range(m)]
-    ys = [[f"y{k}_{c}" for c in range(p)] for k in range(n)]
+    xs, ys = ([[f"{v}{r}_{c}" for c in range(n)] for r in range(n)] for v in "xy")
     body = [f"[[{'], ['.join(map(', '.join, xs))}]] = a", f"[[{'], ['.join(map(', '.join, ys))}]] = b"]
     entries = "".join("(" + "".join(f"0.0 + {' + '.join(map('{}*{}'.format, row, col))}, " for col in zip(*ys)) + "), " for row in xs)
     namespace: dict = {}
     exec("def whole(a, b):\n    " + "\n    ".join(body) + f"\n    return ({entries})", namespace)
     return namespace["whole"]
-
-
-def _matmul(a: tuple, b: tuple) -> tuple:
-    """Schoolbook product of rows ``a`` (any number) and rows ``b``.
-
-    Each entry is the left-to-right double sum of its products, starting
-    from ``0.0``: ``sum``'s value up to Python 3.11, where its integer
-    start turns a ``-0.0`` first product into ``0.0``, and kept from 3.12
-    on, where ``sum`` compensates float sums.  Straight-line code
-    computes it, compiled once per shape.  A product is written out
-    whole when it has at most ``_UNROLL_BUDGET`` multiply-adds (its
-    source grows as ``m*n*p``: 424 ms to compile at dim 100) and dot
-    products of at most ``_CHUNK``; any other runs a kernel per row, the
-    only one that cuts a sum into chunks, so no sum nests deeper.
-    """
-    shape = len(a), len(b), len(b[0])
-    kernel = _KERNELS.get(shape)
-    if kernel is None:
-        m, n, p = shape
-        kernel = _KERNELS[shape] = _whole_kernel(m, n, p) if m * n * p <= _UNROLL_BUDGET and n <= _CHUNK else _row_kernel(n)
-    return kernel(a, b)
-
-
-def _accumulator(n: int):
-    """The kernel that adds ``p*k`` into ``t``, both ``n x n`` rows, as ``t + p*k`` per entry.
-
-    It is written out whole where ``_matmul`` writes the square product
-    whole: its source grows as ``n*n``, 169 ms and 44 MB to compile at
-    dim 100.  Above, ``map`` does the sum.
-    """
-    kernel = _ACCUMULATORS.get(n)
-    if kernel is None:
-        kernel = _ACCUMULATORS[n] = _whole_accumulator(n) if n**3 <= _UNROLL_BUDGET else _accumulate_rows
-    return kernel
 
 
 def _whole_accumulator(n: int):
@@ -214,7 +199,7 @@ class Matrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Matrix._from_rows(_matmul(self.rows, other.rows))
+        return Matrix._from_rows(_kernels(self.dim)[0](self.rows, other.rows))
 
     def max_abs(self) -> float:
         return max(map(abs, chain.from_iterable(self.rows)))
@@ -348,10 +333,11 @@ def _fold(element: Element, assignment: MatrixAssignment, images: dict) -> tuple
 
     ``images`` maps a symbol rank to the rows of its image and gains
     every image the fold finds, so folds given one table find each
-    image once.  Every product takes both factors as rows.
+    image once.  It fetches the dim's kernel pair once and calls its
+    product, which takes both factors as rows, on every new prefix.
     """
     dim = assignment.dim
-    accumulate = _accumulator(dim)
+    product, accumulate = _kernels(dim)
     total = ((0.0,) * dim,) * dim
     prefix: list[tuple] = []  # prefix[k]: product of the first k+1 symbols of prev
     prev = b""
@@ -363,7 +349,7 @@ def _fold(element: Element, assignment: MatrixAssignment, images: dict) -> tuple
             image = images.get(rank)
             if image is None:
                 image = images[rank] = _image(SYMBOLS[rank], assignment)
-            prefix.append(_matmul(prefix[-1], image) if prefix else image)
+            prefix.append(product(prefix[-1], image) if prefix else image)
         prev = word
         total = accumulate(total, prefix[-1] if word else Matrix.identity(dim).rows, coeff)
     return total

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ncpoly import Element, canonical_print, derivative, from_json, parse
 from ncpoly.cli import (
+    DEFAULT_DIM,
     EVAL_ERRORS,
     EXIT_CHECK_FAILED,
     EXIT_EVAL_ERROR,
@@ -25,6 +26,7 @@ from ncpoly.cli import (
     run_command,
     run_repl,
 )
+from ncpoly.element import POWER_LIMIT
 from ncpoly.parsing import BAD_NUMBER, EMPTY_TERM, TRAILING_INPUT, UNEXPECTED_CHAR, ParseError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -525,6 +527,18 @@ def test_usage_errors_exit_4(tmp_path):
 def test_version_and_help():
     assert run_cli("--version").returncode == EXIT_OK
     assert run_cli("--help").returncode == EXIT_OK
+
+
+def test_matcheck_help_explains_its_options(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse wraps at the terminal width, and at hyphens
+    result = run_cli("matcheck", "--help")
+    assert result.returncode == EXIT_OK
+    text = " ".join(result.stdout.split())
+    assert f"--dim DIM matrix dimension, default {DEFAULT_DIM} " in text
+    # the largest dim whose products _cmd_matcheck accepts
+    assert f"dim**3 <= {POWER_LIMIT}, so dim is at most 100" in text and 100**3 <= POWER_LIMIT < 101**3
+    assert "passes when max|R| <= TOL * (1 + max|eval(a*b)|)" in text and "(default 1e-09)" in text
+    assert "standard-normal draws from one SplitMix64 stream with this seed" in text
 
 
 # ----------------------------------------------------------------------

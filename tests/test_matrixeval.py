@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncpoly.matrixeval as matrixeval
@@ -325,7 +325,7 @@ def prefix_sharing_elements(draw):
     return Element([(w, draw(tenths)) for w in sorted(chosen)])
 
 
-# dim 11 is above both caps: its products run per row and its words add through map
+# dim 11 is above the cap: its products run per row and its words add through map
 @given(prefix_sharing_elements(), st.sampled_from([1, 2, 3, 4, 11]), st.integers(0, 2**32))
 def test_evaluate_equals_folding_each_word_from_scratch(element, dim, seed):
     assignment = random_assignment("ab", dim, seed, diff_letters="ab")
@@ -345,13 +345,13 @@ def test_evaluate_multiplies_each_shared_prefix_once(monkeypatch):
         [((26, dx), 0.5), ((26, dx, 24), 0.25)]
     )
     calls = []
+    product, accumulate = matrixeval._kernels(3)
 
-    def counting_matmul(a, b):
+    def counting_product(a, b):
         calls.append(1)
-        return real_matmul(a, b)
+        return product(a, b)
 
-    real_matmul = matrixeval._matmul
-    monkeypatch.setattr(matrixeval, "_matmul", counting_matmul)
+    monkeypatch.setitem(matrixeval._KERNELS, 3, (counting_product, accumulate))
     assignment = random_assignment("xyz", 3, seed=7, diff_letters="x")
     evaluate(element, assignment)
     words = [word for word, _ in element.terms()]
@@ -491,120 +491,84 @@ def test_warm_assignment_gives_the_cold_results(a, b, dim, seed):
 kernel_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
 
 
-@st.composite
-def row_blocks(draw):
-    """A block of 1..dim rows and a square right factor, for dims 1 to 12."""
-    dim = draw(st.integers(1, 12))
-    rows = st.lists(kernel_entries, min_size=dim, max_size=dim)
-    return draw(st.lists(rows, min_size=1, max_size=dim)), draw(st.lists(rows, min_size=dim, max_size=dim))
+def _square(dim, rng):
+    return tuple(tuple(rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3)]) for _ in range(dim)) for _ in range(dim))
 
 
 def _hex_rows(rows):
     return [[x.hex() for x in row] for row in rows]
 
 
-@given(row_blocks())
+def _accumulated_by_hand(t, p, k):
+    return [[(x + y * k).hex() for x, y in zip(tr, pr)] for tr, pr in zip(t, p)]
+
+
+@given(st.integers(1, 12).flatmap(lambda dim: st.lists(st.lists(kernel_entries, min_size=dim, max_size=dim), min_size=2 * dim, max_size=2 * dim)))
 # sum's integer start turns a -0.0 first product into 0.0, and so does the kernel
-@example(([[-0.0, -0.0]], [[1.0, 0.0], [1.0, 0.0]]))
-def test_matmul_kernel_equals_the_oracle_bitwise(block):
-    a, b = block
-    got = matrixeval._matmul(tuple(map(tuple, a)), tuple(map(tuple, b)))
+@example([[-0.0, -0.0], [-0.0, -0.0], [1.0, 0.0], [1.0, 0.0]])
+def test_matmul_kernel_equals_the_oracle_bitwise(rows):
+    # a and b are the square halves of 2*dim rows, at dims 1 to 12, on both sides of the cap
+    a, b = rows[: len(rows) // 2], rows[len(rows) // 2:]
+    got = matrixeval._kernels(len(a))[0](tuple(map(tuple, a)), tuple(map(tuple, b)))
     # float.hex tells 0.0 from -0.0, which == does not
     assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
 
 
-@pytest.mark.parametrize("rows, dim", [(10, 10), (11, 11), (1, 8), (3, 5)])
-def test_matmul_kernels_on_both_sides_of_the_unroll_budget(rows, dim):
-    # 10x10 times 10x10 is 1,000 multiply-adds, written out whole; 11x11 is 1,331, run per
-    # row; 1 row against 8 columns and 3 against 5 are probe-block shapes of the whole kernel
-    rng = random.Random(100 * rows + dim)
-    a, b = ([[rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3)]) for _ in range(dim)] for _ in range(n)] for n in (rows, dim))
-    got = matrixeval._matmul(tuple(map(tuple, a)), tuple(map(tuple, b)))
-    assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
-    kernel = "whole" if rows * dim * dim <= matrixeval._UNROLL_BUDGET else "row"
-    assert matrixeval._KERNELS[rows, dim, dim].__name__ == kernel
+@pytest.mark.parametrize("dim", [1, 3, 10, 11])
+def test_kernels_on_both_sides_of_the_cap(monkeypatch, dim):
+    # a dim-10 product is 1,000 multiply-adds, so its pair is written whole; a dim-11 one is
+    # 1,331, so it runs per row and adds through map
+    monkeypatch.setattr(matrixeval, "_KERNELS", {})
+    evaluate(parse("2x"), random_assignment("x", dim, seed=dim))
+    product, accumulate = matrixeval._KERNELS[dim]
+    assert (product, accumulate) == matrixeval._kernels(dim)
+    whole = dim**3 <= matrixeval._UNROLL_BUDGET
+    assert (product.__name__, accumulate.__name__) == (("whole", "accumulate") if whole else ("row", "_accumulate_rows"))
+    rng = random.Random(dim)
+    a, b = _square(dim, rng), _square(dim, rng)
+    assert _hex_rows(product(a, b)) == _hex_rows(mat_mul(a, b))
+    for k in (1.5, -0.25, 3.0, 0.1):
+        assert _hex_rows(accumulate(a, b, k)) == _accumulated_by_hand(a, b, k)
+    # a -0.0 total plus a -0.0 product stays -0.0, and plus a 0.0 product becomes 0.0
+    zeros = ((-0.0,) * dim,) * dim
+    assert _hex_rows(accumulate(zeros, zeros, 1.0)) == [[(-0.0).hex()] * dim] * dim
+    assert _hex_rows(accumulate(zeros, zeros, -1.0)) == [[(0.0).hex()] * dim] * dim
+    # a sum of -0.0 products starts from 0.0, as sum does up to 3.11, so it is 0.0
+    assert _hex_rows(product(zeros, ((1.0,) * dim,) * dim)) == [[(0.0).hex()] * dim] * dim
 
 
-def test_matmul_row_kernel_carries_the_sum_across_16_chunks():
-    # one 1,024-long row against one column: within the budget, but each dot product is
-    # longer than one chunk, so it runs per row, in 16 chunks of 64 products
-    rng = random.Random(1024)
-    row = tuple(rng.gauss(0, 1) for _ in range(1024))
-    col = tuple(rng.gauss(0, 1) for _ in range(1024))
-    (got,) = matrixeval._matmul((row,), tuple(zip(col)))
+@pytest.mark.parametrize("n", [1024, 5000])
+def test_row_kernel_carries_long_sums_across_chunks(n):
+    # one n-long row against one column: 16 chunks of 64 products at 1,024, and at 5,000 a
+    # length that a kernel nesting one level per product cannot be compiled at
+    rng = random.Random(n)
+    row = tuple(rng.gauss(0, 1) for _ in range(n))
+    col = tuple(rng.gauss(0, 1) for _ in range(n))
+    (got,) = matrixeval._row_kernel(n)((row,), tuple(zip(col)))
     assert _hex_rows([got]) == _hex_rows([[dot(row, col)]])
-    assert matrixeval._KERNELS[1, 1024, 1].__name__ == "row"
 
 
-def test_matmul_kernel_has_no_nesting_limit():
-    # a kernel that nests one level per product cannot be compiled at this length
-    rng = random.Random(5000)
-    row = tuple(rng.gauss(0, 1) for _ in range(5000))
-    col = tuple(rng.gauss(0, 1) for _ in range(5000))
-    (got,) = matrixeval._matmul((row,), tuple(zip(col)))
-    assert _hex_rows([got]) == _hex_rows([[dot(row, col)]])
-
-
-def test_matmul_kernels_compile_deep_in_the_stack(monkeypatch):
+def test_kernels_compile_deep_in_the_stack(monkeypatch):
     # the compiler nests one level per product of a sum, and no generated sum is longer
     # than 64 products, so every kernel compiles 60 frames short of the recursion limit;
     # there a 1,024-product sum raises RecursionError on Python 3.10 and 3.11
     monkeypatch.setattr(matrixeval, "_KERNELS", {})
     rng = random.Random(60)
-    blocks = [
-        ([[rng.gauss(0, 1) for _ in range(n)] for _ in range(m)], [[rng.gauss(0, 1) for _ in range(p)] for _ in range(n)])
-        for m, n, p in [(1, 1024, 1), (3, 100, 3), (10, 10, 10), (1, 5000, 1)]
-    ]
+    dims, lengths = [10, 11, 100], [1024, 5000]
+    squares = [(_square(n, rng), _square(n, rng)) for n in dims]
+    dots = [tuple(rng.gauss(0, 1) for _ in range(2 * n)) for n in lengths]
 
     def deep(frames):
         if frames > 0:
             return deep(frames - 1)
-        return [matrixeval._matmul(tuple(map(tuple, a)), tuple(map(tuple, b))) for a, b in blocks]
+        return [matrixeval._kernels(n) for n in dims], [matrixeval._row_kernel(n) for n in lengths]
 
-    results = deep(sys.getrecursionlimit() - 60 - len(inspect.stack(0)))
-    for (a, b), got in zip(blocks, results):
-        assert _hex_rows(got) == _hex_rows(mat_mul(a, b))
-
-
-def _accumulated_by_hand(t, p, k):
-    return [[(x + y * k).hex() for x, y in zip(tr, pr)] for tr, pr in zip(t, p)]
-
-
-@pytest.mark.parametrize("dim", [1, 3, 10, 11])
-def test_accumulate_kernels_on_both_sides_of_the_cap(monkeypatch, dim):
-    # dims 1 to 10 have a square product written whole, and so is their accumulate kernel;
-    # from dim 11 on it runs through map
-    monkeypatch.setattr(matrixeval, "_ACCUMULATORS", {})
-    evaluate(parse("2x"), random_assignment("x", dim, seed=dim))
-    kernel = matrixeval._ACCUMULATORS[dim]
-    assert kernel is matrixeval._accumulator(dim)
-    assert kernel.__name__ == ("accumulate" if dim <= 10 else "_accumulate_rows")
-    rng = random.Random(dim)
-    t, p = (tuple(tuple(rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3)]) for _ in range(dim)) for _ in range(dim)) for _ in "tp")
-    for k in (1.5, -0.25, 3.0, 0.1):
-        assert _hex_rows(kernel(t, p, k)) == _accumulated_by_hand(t, p, k)
-    # a -0.0 total plus a -0.0 product stays -0.0, and plus a 0.0 product becomes 0.0
-    zeros = ((-0.0,) * dim,) * dim
-    assert _hex_rows(kernel(zeros, zeros, 1.0)) == [[(-0.0).hex()] * dim] * dim
-    assert _hex_rows(kernel(zeros, zeros, -1.0)) == [[(0.0).hex()] * dim] * dim
-
-
-def test_accumulate_kernels_compile_deep_in_the_stack(monkeypatch):
-    # the sibling of the product kernels' test: the whole accumulate kernel at dim 10 and
-    # the kernels above the cap at dims 11 and 100 build 60 frames short of the recursion limit
-    monkeypatch.setattr(matrixeval, "_ACCUMULATORS", {})
-    rng = random.Random(61)
-    dims = [10, 11, 100]
-    blocks = [tuple(tuple(rng.gauss(0, 1) for _ in range(n)) for _ in range(2 * n)) for n in dims]
-
-    def deep(frames):
-        if frames > 0:
-            return deep(frames - 1)
-        return [matrixeval._accumulator(n)(block[:n], block[n:], 0.75) for n, block in zip(dims, blocks)]
-
-    results = deep(sys.getrecursionlimit() - 60 - len(inspect.stack(0)))
-    for n, block, got in zip(dims, blocks, results):
-        assert _hex_rows(got) == _accumulated_by_hand(block[:n], block[n:], 0.75)
+    pairs, row_kernels = deep(sys.getrecursionlimit() - 60 - len(inspect.stack(0)))
+    for (product, accumulate), (a, b) in zip(pairs, squares):
+        assert _hex_rows(product(a, b)) == _hex_rows(mat_mul(a, b))
+        assert _hex_rows(accumulate(a, b, 0.75)) == _accumulated_by_hand(a, b, 0.75)
+    for kernel, n, v in zip(row_kernels, lengths, dots):
+        assert _hex_rows(kernel((v[:n],), tuple(zip(v[n:])))) == _hex_rows([[dot(v[:n], v[n:])]])
 
 
 def test_matrix_results_are_pinned_bitwise():
@@ -639,3 +603,37 @@ def test_a_dim_d_check_is_blind_to_the_standard_polynomial_of_degree_2d(d):
     for seed in (1, 2, 3):
         assert evaluate(s, random_assignment(letters, d, seed)).max_abs() <= 1e-10
         assert evaluate(s, random_assignment(letters, d + 1, seed)).max_abs() >= 0.1
+
+
+@st.composite
+def faulty_products(draw):
+    """``(d, a, b, faulty)``: inverse-free ``a``, ``b`` over xyz with ``deg(a*b) < 2d``, and
+    ``a*b`` with one coefficient moved by 1e-3 or, from ``d = 2``, the first two letters of
+    one word swapped where they differ."""
+    d = draw(st.integers(1, 3))
+    deg_a = draw(st.integers(0, 2 * d - 1))
+    coeffs = st.integers(-9, 9).filter(bool).map(float)
+    a, b = (
+        Element(draw(st.dictionaries(st.lists(st.sampled_from([24, 25, 26]), max_size=deg).map(tuple), coeffs, min_size=1, max_size=4)))
+        for deg in (deg_a, 2 * d - 1 - deg_a)
+    )
+    terms = (a * b).terms()
+    swappable = [(w, c) for w, c in terms if len(w) >= 2 and w[0] != w[1]] if d >= 2 else []
+    if swappable and draw(st.booleans()):
+        w, c = draw(st.sampled_from(swappable))
+        fault = Element([(w[1::-1] + w[2:], c), (w, -c)])
+    else:
+        fault = Element([(draw(st.sampled_from(terms))[0], 1e-3)])
+    return d, a, b, a * b + fault
+
+
+@settings(derandomize=True)  # the residual is nonzero with probability 1, not for every seed
+@given(faulty_products(), st.integers(0, 2**32))
+def test_a_dim_d_check_sees_a_fault_of_degree_below_2d(case, seed):
+    # the converse: the fault is a nonzero inverse-free polynomial of degree below 2d, so it is
+    # no identity of d x d matrices, and its value at Gaussian bindings is not zero
+    d, a, b, faulty = case
+    assignment = random_assignment("xyz", d, seed)
+    direct = evaluate(faulty, assignment)
+    residual = mat_max_abs_diff((evaluate(a, assignment) @ evaluate(b, assignment)).rows, direct.rows)
+    assert residual > 1e-9 * (1.0 + direct.max_abs())
