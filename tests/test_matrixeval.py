@@ -39,14 +39,9 @@ def _rel_diff(m, reference):
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
-        Matrix([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        Matrix([])
-    with pytest.raises(ValueError):
-        Matrix([[float("nan")]])
-    with pytest.raises(ValueError):
-        Matrix([[float("inf")]])
+    for bad in ([[1.0, 2.0]], [], [[float("nan")]], [[float("inf")]]):
+        with pytest.raises(ValueError):
+            Matrix(bad)
     with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
         Matrix.identity(2) @ Matrix.identity(3)
     with pytest.raises(TypeError):
@@ -229,18 +224,13 @@ def test_evaluate_inverse_paths():
 
 
 def test_unbound_letters_are_named():
-    assignment = random_assignment("x", 3, seed=4)
-    with pytest.raises(UnboundLetter) as excinfo:
-        evaluate(parse("xy"), assignment)
-    assert excinfo.value.letter == "y"
-    with pytest.raises(UnboundLetter) as excinfo:
-        evaluate(parse("Y"), assignment)
-    assert excinfo.value.letter == "y"
     from ncpoly import derivative
 
-    with pytest.raises(UnboundLetter) as excinfo:
-        evaluate(derivative(parse("x"), "x"), assignment)
-    assert excinfo.value.letter == "(dx)"
+    assignment = random_assignment("x", 3, seed=4)
+    for element, letter in [(parse("xy"), "y"), (parse("Y"), "y"), (derivative(parse("x"), "x"), "(dx)")]:
+        with pytest.raises(UnboundLetter) as excinfo:
+            evaluate(element, assignment)
+        assert excinfo.value.letter == letter
 
 
 def test_singular_binding_raises_on_inverse_use():
@@ -526,7 +516,7 @@ def test_kernels_on_both_sides_of_the_cap(monkeypatch, dim):
     assert (product.__name__, accumulate.__name__) == (("whole", "accumulate") if whole else ("row", "_accumulate_rows"))
     rng = random.Random(dim)
     a, b = _square(dim, rng), _square(dim, rng)
-    assert _hex_rows(product(a, b)) == _hex_rows(mat_mul(a, b))
+    assert _hex_rows(product(a, b)) == _hex_rows((Matrix(a) @ Matrix(b)).rows) == _hex_rows(mat_mul(a, b))
     for k in (1.5, -0.25, 3.0, 0.1):
         assert _hex_rows(accumulate(a, b, k)) == _accumulated_by_hand(a, b, k)
     # a -0.0 total plus a -0.0 product stays -0.0, and plus a 0.0 product becomes 0.0
@@ -537,15 +527,26 @@ def test_kernels_on_both_sides_of_the_cap(monkeypatch, dim):
     assert _hex_rows(product(zeros, ((1.0,) * dim,) * dim)) == [[(0.0).hex()] * dim] * dim
 
 
-@pytest.mark.parametrize("n", [1024, 5000])
+@pytest.mark.parametrize("n", [1, 64, 65, 1024, 5000])
 def test_row_kernel_carries_long_sums_across_chunks(n):
-    # one n-long row against one column: 16 chunks of 64 products at 1,024, and at 5,000 a
-    # length that a kernel nesting one level per product cannot be compiled at
+    # one n-long row against one column: one chunk at 1 and at 64, a second chunk of one
+    # product at 65, 16 chunks of 64 products at 1,024, and at 5,000 a length that a
+    # kernel nesting one level per product cannot be compiled at
     rng = random.Random(n)
     row = tuple(rng.gauss(0, 1) for _ in range(n))
     col = tuple(rng.gauss(0, 1) for _ in range(n))
     (got,) = matrixeval._row_kernel(n)((row,), tuple(zip(col)))
     assert _hex_rows([got]) == _hex_rows([[dot(row, col)]])
+
+
+def test_each_fold_fetches_its_kernel_pair_once(monkeypatch):
+    # the three folds of a check and its one @ each look the pair up once, however many
+    # products and accumulate steps they then run
+    calls, real_kernels = [], matrixeval._kernels
+    monkeypatch.setattr(matrixeval, "_kernels", lambda n: calls.append(n) or real_kernels(n))
+    report = homomorphism_check(parse("xy + 2yxx"), parse("x - yy"), random_assignment("xy", 4, seed=5))
+    assert report.passed
+    assert calls == [4, 4, 4, 4]
 
 
 def test_kernels_compile_deep_in_the_stack(monkeypatch):
