@@ -75,7 +75,7 @@ class Element:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for word, coeff in items:
                 word = reduce_checked(encode_word(word))
-                data[word] = data.get(word, 0.0) + float(coeff)
+                data[word] = data.get(word, 0.0) + _real(coeff)
         self._terms = _normal(data)
 
     @classmethod
@@ -98,12 +98,12 @@ class Element:
 
     @classmethod
     def constant(cls, value: float) -> "Element":
-        return cls._from_reduced({b"": float(value)})
+        return cls._from_reduced({b"": _real(value)})
 
     @classmethod
     def from_word(cls, word, coeff: float = 1.0) -> "Element":
         """Single term ``coeff * word``; accepts letters text like ``"xxY"``."""
-        return cls._from_reduced({_word_argument(word): float(coeff)})
+        return cls._from_reduced({_word_argument(word): _real(coeff)})
 
     # ------------------------------------------------------------------
     # queries
@@ -243,6 +243,13 @@ def _bounded_product(a: Element, b: Element) -> Element:
 def _word_argument(word) -> bytes:
     """A public word argument, letters text or a symbol sequence, as a reduced stored word."""
     return text_word(word) if isinstance(word, str) else reduce_checked(encode_word(word))
+
+
+def _real(value) -> float:
+    """``float(value)`` for a number; text and bools, which ``float`` would also take, raise TypeError."""
+    if isinstance(value, (str, bytes, bytearray, bool)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _coerce(value):

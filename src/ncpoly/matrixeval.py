@@ -26,13 +26,14 @@ image's rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from itertools import chain, compress, count, repeat
 from operator import add, attrgetter, mul, ne, sub, truediv
 
-from .element import Element, NonFiniteCoefficient
+from .element import Element, NonFiniteCoefficient, _real
 from .randomgen import SplitMix64
 from .words import DIFF_BASE, SYMBOLS, letter_index, symbol_text
 
@@ -51,15 +52,13 @@ class SingularMatrix(ArithmeticError):
     """An inverse was requested but a pivot fell below the singularity threshold."""
 
 
-# dim -> its compiled (product, accumulate) pair; two threads that miss at once each
-# compile an equal pair, and either may stay
-_KERNELS: dict = {}
 _CHUNK = 64  # products per generated sum, which the compiler nests one level each
 _UNROLL_BUDGET = 1024  # multiply-adds a product may take and still be written out whole
 
 
+@functools.cache
 def _kernels(n: int) -> tuple:
-    """The ``(product, accumulate)`` pair for ``n x n`` rows, compiled once per dim.
+    """The ``(product, accumulate)`` pair for ``n x n`` rows; ``functools.cache`` keeps one per dim.
 
     ``product(a, b)`` is the schoolbook product of rows ``a`` and rows
     ``b``: each entry is the left-to-right double sum of its products,
@@ -74,11 +73,9 @@ def _kernels(n: int) -> tuple:
     Above the cap the product runs a kernel per row and ``map`` does the
     accumulate step.
     """
-    pair = _KERNELS.get(n)
-    if pair is None:
-        whole = n**3 <= _UNROLL_BUDGET
-        pair = _KERNELS[n] = (_whole_kernel(n), _whole_accumulator(n)) if whole else (_row_kernel(n), _accumulate_rows)
-    return pair
+    if n**3 <= _UNROLL_BUDGET:
+        return _whole_kernel(n), _whole_accumulator(n)
+    return _row_kernel(n), _accumulate_rows
 
 
 def _row_kernel(n: int):
@@ -154,7 +151,7 @@ class Matrix:
     __slots__ = ("_rows", "_inv")
 
     def __init__(self, rows: Iterable[Iterable[float]]):
-        rows = tuple(tuple(float(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(_real, row)) for row in rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")
         self._rows = _finite(rows)
@@ -179,7 +176,7 @@ class Matrix:
     @classmethod
     def zeros(cls, dim: int) -> "Matrix":
         _check_dim(dim, "the matrix dimension")
-        return cls(tuple((0.0,) * dim for _ in range(dim)))
+        return cls._from_rows(((0.0,) * dim,) * dim)
 
     def __reduce__(self):
         # a pickle holds the public form only, and loads through the checked constructor
@@ -342,8 +339,8 @@ def _fold(element: Element, assignment: MatrixAssignment, images: dict) -> tuple
     prefix: list[tuple] = []  # prefix[k]: product of the first k+1 symbols of prev
     prev = b""
     for word, coeff in element._sorted():
-        # the index of the first difference, or the shorter length
-        shared = next(compress(count(), map(ne, word, prev)), min(len(word), len(prev)))
+        # the first difference, else len(prev): words are distinct and a proper prefix sorts first
+        shared = next(compress(count(), map(ne, word, prev)), len(prev))
         del prefix[shared:]
         for rank in word[shared:]:
             image = images.get(rank)
@@ -378,18 +375,20 @@ def homomorphism_check(
     ``a``, of ``b`` and of ``a * b`` in that order, share one image
     table, so each symbol's image is found once per check; each bound
     matrix keeps its inverse, so a binding is factored once in all.
-    A ``tol`` outside ``[0, inf)`` is refused before any evaluation.
+    The check stays in rows and builds no ``Matrix``; the folds of ``a``
+    and ``b``, then their product, are checked finite before ``a * b``
+    is computed.  A ``tol`` outside ``[0, inf)`` is refused first.
     """
     if isinstance(tol, bool) or not isinstance(tol, (int, float)):
         raise TypeError(f"tol must be a real number, got {tol!r}")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and not negative, got {tol}")
     images: dict = {}
-    product = Matrix._from_rows(_fold(a, assignment, images)) @ Matrix._from_rows(_fold(b, assignment, images))
-    direct = Matrix._from_rows(_fold(a * b, assignment, images))
-    residual = map(sub, chain.from_iterable(product.rows), chain.from_iterable(direct.rows))
-    max_abs = max(map(abs, residual))
-    scale = 1.0 + direct.max_abs()
+    left, right = _finite(_fold(a, assignment, images)), _finite(_fold(b, assignment, images))
+    product = _finite(_kernels(assignment.dim)[0](left, right))
+    direct = _finite(_fold(a * b, assignment, images))
+    max_abs = max(map(abs, map(sub, chain.from_iterable(product), chain.from_iterable(direct))))
+    scale = 1.0 + max(map(abs, chain.from_iterable(direct)))
     return HomomorphismReport(max_abs, max_abs / scale, max_abs <= tol * scale)
 
 

@@ -15,17 +15,19 @@ stored.  One table, built once at import, gives every symbol its printed
 text and its collation rank (0..77).  An ``Element`` stores each word as
 ``bytes`` of ranks, one byte per symbol, so native ``bytes`` order is
 the print order and a stored word is its own sort key.  Other modules
-look ranks up through ``encode_word`` and the tables ``SYMBOLS`` and
-``_RANK_TEXT``, and never decode a stored word.
+map ranks through ``encode_word`` and the tables ``SYMBOLS`` and
+``_RANK_TEXT`` (``textio`` builds its JSON tables from the two), and
+decode a whole stored word only through ``decode_word``.
 
 Boundary rule: each input is checked once, where it enters, and then
 goes to ``reduce_checked``, the one unchecked stack pass: ``encode_word``
 checks symbol codes (``Element(...)``), ``text_word`` letters text
 (``parse``) and ``textio.from_json`` JSON entries; most words enter
 reduced, and one without an adjacent inverse pair, found in C, comes
-back as it is.  Its one internal caller is the one-term map of
+back as it is.  Its internal callers are the one-term map of
 ``calculus.substitute``, which reduces a word's joined pieces in one
-pass; ``join_reduced`` cancels at one seam.
+pass, and ``randomgen.random_element``, which reduces each word it
+draws; ``join_reduced`` cancels at one seam.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -55,6 +57,32 @@ def test_from_word():
     assert Element.from_word("xxY") == Element({(24, 24, -25): 1.0})
     assert Element.from_word((24, -24)) == Element.one()
     assert Element.from_word("zy", 2.0).coeff("zy") == 2.0
+
+
+# text and bools are refused as coefficients, though float() would take them;
+# ints, floats, Fraction and Decimal are numbers
+NOT_NUMBERS = ["3", "1_000", b"3", bytearray(b"3"), True, False]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_constructor_takes_only_number_coefficients(value):
+    with pytest.raises(TypeError, match="expected a number"):
+        Element({(1,): value})
+    assert Element({(1,): Fraction(3, 2), (2,): Decimal("0.5"), (): 2}) == parse("1.5a + 0.5b + 2")
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_constant_takes_only_numbers(value):
+    with pytest.raises(TypeError, match="expected a number"):
+        Element.constant(value)
+    assert Element.constant(Fraction(1, 4)) == Element.constant(Decimal("0.25")) == 0.25
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_from_word_takes_only_a_number_coefficient(value):
+    with pytest.raises(TypeError, match="expected a number"):
+        Element.from_word("x", value)
+    assert Element.from_word("x", 3) == Element.from_word((24,), Fraction(3)) == parse("3x")
 
 
 def test_addition_golden(paper):

@@ -5,6 +5,8 @@ import pickle
 import random
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,6 +48,14 @@ def test_matrix_validation():
         Matrix.identity(2) @ Matrix.identity(3)
     with pytest.raises(TypeError):
         Matrix.identity(2) @ 2
+
+
+@pytest.mark.parametrize("entry", ["1", "1_000", b"1", bytearray(b"1"), True, False])
+def test_matrix_entries_are_numbers(entry):
+    # float() would take text and bools; the constructor refuses them
+    with pytest.raises(TypeError, match="expected a number"):
+        Matrix([[1.0, 2.0], [3.0, entry]])
+    assert Matrix([[1, Fraction(1, 2)], [Decimal("3"), 4.0]]).rows == ((1.0, 0.5), (3.0, 4.0))
 
 
 @pytest.mark.parametrize("dim, error", [(0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError), ("3", TypeError)])
@@ -341,7 +351,7 @@ def test_evaluate_multiplies_each_shared_prefix_once(monkeypatch):
         calls.append(1)
         return product(a, b)
 
-    monkeypatch.setitem(matrixeval._KERNELS, 3, (counting_product, accumulate))
+    monkeypatch.setattr(matrixeval, "_kernels", lambda n: (counting_product, accumulate))
     assignment = random_assignment("xyz", 3, seed=7, diff_letters="x")
     evaluate(element, assignment)
     words = [word for word, _ in element.terms()]
@@ -426,6 +436,22 @@ def test_computed_matrices_are_checked_for_finiteness():
         homomorphism_check(parse("x"), parse("x"), MatrixAssignment(1, {"x": huge}))
 
 
+def test_a_check_with_two_faults_raises_the_first_one_met():
+    # the check meets its faults in one order: the fold of a, the fold of b, their product,
+    # then a * b and its fold, so each input gives one exception with one message
+    singular = MatrixAssignment(3, {"x": Matrix([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])})
+    with pytest.raises(UnboundLetter, match="'z'"):
+        homomorphism_check(parse("z"), parse("X"), singular)
+    # 1e200 * 1e200 overflows in the product of the folds, before a * b overflows its coefficient
+    big = "1" + "0" * 200
+    with pytest.raises(NonFiniteCoefficient) as excinfo:
+        homomorphism_check(parse(big + "x"), parse(big + "y"), random_assignment("xy", 3, seed=3))
+    assert str(excinfo.value) == "matrix entries must be finite"
+    # 1e300 * (1e10)**2 overflows in the fold of a, before b meets its unbound z
+    with pytest.raises(NonFiniteCoefficient, match="matrix entries must be finite"):
+        homomorphism_check(parse("1" + "0" * 300 + "xx"), parse("z"), MatrixAssignment(1, {"x": Matrix([[1e10]])}))
+
+
 def test_assignment_checks_dim_and_binding_types():
     m = Matrix.identity(2)
     with pytest.raises(TypeError, match="dimension must be an int"):
@@ -505,12 +531,13 @@ def test_matmul_kernel_equals_the_oracle_bitwise(rows):
 
 
 @pytest.mark.parametrize("dim", [1, 3, 10, 11])
-def test_kernels_on_both_sides_of_the_cap(monkeypatch, dim):
+def test_kernels_on_both_sides_of_the_cap(dim):
     # a dim-10 product is 1,000 multiply-adds, so its pair is written whole; a dim-11 one is
     # 1,331, so it runs per row and adds through map
-    monkeypatch.setattr(matrixeval, "_KERNELS", {})
+    matrixeval._kernels.cache_clear()
     evaluate(parse("2x"), random_assignment("x", dim, seed=dim))
-    product, accumulate = matrixeval._KERNELS[dim]
+    assert matrixeval._kernels.cache_info().currsize == 1
+    product, accumulate = matrixeval._kernels(dim)
     assert (product, accumulate) == matrixeval._kernels(dim)
     whole = dim**3 <= matrixeval._UNROLL_BUDGET
     assert (product.__name__, accumulate.__name__) == (("whole", "accumulate") if whole else ("row", "_accumulate_rows"))
@@ -549,11 +576,11 @@ def test_each_fold_fetches_its_kernel_pair_once(monkeypatch):
     assert calls == [4, 4, 4, 4]
 
 
-def test_kernels_compile_deep_in_the_stack(monkeypatch):
+def test_kernels_compile_deep_in_the_stack():
     # the compiler nests one level per product of a sum, and no generated sum is longer
     # than 64 products, so every kernel compiles 60 frames short of the recursion limit;
     # there a 1,024-product sum raises RecursionError on Python 3.10 and 3.11
-    monkeypatch.setattr(matrixeval, "_KERNELS", {})
+    matrixeval._kernels.cache_clear()
     rng = random.Random(60)
     dims, lengths = [10, 11, 100], [1024, 5000]
     squares = [(_square(n, rng), _square(n, rng)) for n in dims]
